@@ -10,8 +10,8 @@ The package splits into four layers:
   (mass as chirality coupling): dispersion, front speed, position jitter and
   the coarse-grained generator checks,
 * :mod:`causalqca.gates` -- the bipartite gate circuit behind the walk:
-  transfer matrices, row amplitudes, the speed/mass feasibility bound, and a
-  brute-force Fock-space oracle built from anticommuting mode operators.
+  transfer matrices, the speed/mass feasibility bound, and a brute-force
+  Fock-space oracle built from anticommuting mode operators.
 
 :mod:`causalqca.units` converts event counts to SI quantities and
 :mod:`causalqca.recipes`/:mod:`causalqca.cli` bundle everything into
@@ -27,18 +27,14 @@ from .observers import (
     ObserverSpec,
     RadarCoordinate,
     Window,
-    analytic_boost,
     boost_map,
-    coarse_grain,
     default_scale,
     einstein_clock,
     fit_lorentz,
     foliation_leaf,
-    observer_event_at,
     radar_coordinates,
 )
 from .units import (
-    InformationalMass,
     PhysicalUnits,
     causal_speed,
     compton_from_omega,
@@ -63,17 +59,13 @@ __all__ = [
     "Window",
     "BoostFit",
     "ClockTicTac",
-    "observer_event_at",
     "radar_coordinates",
     "foliation_leaf",
     "boost_map",
     "fit_lorentz",
-    "analytic_boost",
     "einstein_clock",
-    "coarse_grain",
     "default_scale",
     "PhysicalUnits",
-    "InformationalMass",
     "causal_speed",
     "mass_from_omega",
     "omega_from_mass",

@@ -1,7 +1,8 @@
 """Command-line entry point: ``causalqca list`` and ``causalqca run``.
 
 Exit codes: 0 on success, 1 when a recipe's built-in check fails, 2 on usage
-errors (unknown recipe, unknown parameter, malformed --set).
+errors (unknown recipe, unknown parameter, malformed --set, a parameter value
+the recipe rejects).
 """
 
 from __future__ import annotations
@@ -58,9 +59,6 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result = run_recipe(args.recipe, overrides, args.out, svg=args.svg)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

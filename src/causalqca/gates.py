@@ -25,7 +25,7 @@ invariance, anticommutation and gate locality are verified brute force.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,17 +60,6 @@ def _kron_chain(ops: Sequence[sparse.spmatrix]) -> sparse.csr_matrix:
 def _jw_sparse(mode: int, n_modes: int) -> sparse.csr_matrix:
     ops = [_SZ] * mode + [_LOWER] + [_ID2] * (n_modes - mode - 1)
     return _kron_chain(ops)
-
-
-def jw_field_operator(site: int, chirality: str, n_sites: int) -> np.ndarray:
-    """Annihilation operator of one field mode as a 2**(2 n_sites) matrix.
-
-    Built as the string of Pauli-z factors over all earlier modes followed by
-    a lowering operator, which enforces anticommutation across the chain.
-    """
-    if n_sites > 5:
-        raise ValueError("Fock representation limited to n_sites <= 5")
-    return _jw_sparse(mode_index(site, chirality, n_sites), 2 * n_sites).toarray()
 
 
 class FockRep:
@@ -180,8 +169,8 @@ def _row_transfer(gates: Sequence[GateSpec], n_sites: int, periodic: bool) -> np
 
 def compose_row(
     gates: Iterable[GateSpec],
-    direction: str = "forward",
-    n_sites: int | None = None,
+    direction: str,
+    n_sites: int,
     periodic: bool = True,
 ) -> np.ndarray:
     """Transfer matrix of one two-row step (B row first, then A row).
@@ -191,8 +180,6 @@ def compose_row(
     evolution, T^dag, whose plus rows carry the amplitude at site n-1.
     """
     gates = list(gates)
-    if n_sites is None:
-        raise ValueError("n_sites is required")
     a_row = [g for g in gates if g.kind == "A"]
     b_row = [g for g in gates if g.kind == "B"]
     # conjugation by U = A_row B_row composes as T_B @ T_A
@@ -202,50 +189,6 @@ def compose_row(
     if direction == "backward":
         return t.conj().T
     raise ValueError("direction must be 'forward' or 'backward'")
-
-
-@dataclass(frozen=True)
-class RowSpec:
-    """Amplitudes of one plus-mode row of a transfer matrix."""
-
-    eta: complex  # stay-put amplitude
-    zeta: complex  # shift amplitude (site+1 forward, site-1 backward)
-    gamma: complex  # chirality mixing of the forward row
-    gamma_prime: complex  # chirality mixing of the backward (inverse) row
-    residual_terms: dict[int, complex] = field(default_factory=dict)
-
-    def row_norm_sq(self) -> float:
-        extra = sum(abs(v) ** 2 for v in self.residual_terms.values())
-        return abs(self.eta) ** 2 + abs(self.zeta) ** 2 + abs(self.gamma) ** 2 + extra
-
-
-def extract_row_amplitudes(
-    t: np.ndarray, site: int, n_sites: int, direction: str = "forward"
-) -> RowSpec:
-    """Read the stay/shift/mixing amplitudes of one plus row.
-
-    For ``direction='forward'`` the shift amplitude sits at site+1 and gamma
-    at the site's own minus mode; gamma_prime is read from the inverse
-    evolution (the conjugated column).  ``'backward'`` reads T as an inverse-
-    direction transfer, with the shift at site-1.
-    """
-    row = mode_index(site, PLUS, n_sites)
-    shift_site = (site + 1) % n_sites if direction == "forward" else (site - 1) % n_sites
-    shift = mode_index(shift_site, PLUS, n_sites)
-    minus = mode_index(site, MINUS, n_sites)
-    known = {row, shift, minus}
-    residuals = {
-        j: complex(t[row, j])
-        for j in range(2 * n_sites)
-        if j not in known and abs(t[row, j]) > 1e-14
-    }
-    return RowSpec(
-        eta=complex(t[row, row]),
-        zeta=complex(t[row, shift]),
-        gamma=complex(t[row, minus]),
-        gamma_prime=complex(np.conj(t[minus, row])),
-        residual_terms=residuals,
-    )
 
 
 def check_fb_combination(
@@ -280,22 +223,19 @@ def check_fb_combination(
 class RefractionBound(NamedTuple):
     zeta_max: float  # largest flow speed compatible with unitarity
     n_min: float  # smallest vacuum refraction index, 1/zeta_max
-    printed_bound: float  # sqrt(1 - mu**2), for comparison with n_min
 
 
 def refraction_bound(mu: float) -> RefractionBound:
     """Speed and index bound at coupling mu = 2a/lambda.
 
     Row normalization gives zeta_max = sqrt(1 - mu**2) and hence a refraction
-    index of at least 1/zeta_max.  ``printed_bound`` reports sqrt(1 - mu**2)
-    itself, the right-hand side sometimes quoted directly as the index bound;
-    both are returned so the two readings can be compared.
+    index of at least 1/zeta_max.
     """
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]: stronger coupling has no unitary row")
     zeta_max = math.sqrt(1.0 - mu * mu)
     n_min = math.inf if zeta_max == 0.0 else 1.0 / zeta_max
-    return RefractionBound(zeta_max=zeta_max, n_min=n_min, printed_bound=zeta_max)
+    return RefractionBound(zeta_max=zeta_max, n_min=n_min)
 
 
 # ---------------------------------------------------------------------------
@@ -487,17 +427,6 @@ def fock_gate_matrix(gate: GateSpec, n_sites: int, rep: FockRep | None = None) -
     return expm(1j * quad.toarray())
 
 
-def fock_step_unitary(gates: Sequence[GateSpec], n_sites: int, rep: FockRep | None = None) -> np.ndarray:
-    """Full Fock unitary of one two-row step (B row applied first)."""
-    rep = FockRep(n_sites) if rep is None else rep
-    u = np.eye(rep.dim, dtype=complex)
-    for kind in ("B", "A"):  # application order
-        for g in gates:
-            if g.kind == kind:
-                u = fock_gate_matrix(g, n_sites, rep) @ u
-    return u
-
-
 class FockCheck(NamedTuple):
     max_deviation: float
     transfer_deviation: float  # conjugation action vs compose_row
@@ -519,7 +448,18 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
         raise ValueError("fock_consistency supports n_sites <= 4")
     gates = list(gates)
     rep = FockRep(n_sites)
-    u = fock_step_unitary(gates, n_sites, rep)
+    lone = FockRep(1)  # one site: the gate's two wires and nothing else
+    u = np.eye(rep.dim, dtype=complex)
+    locality_dev = 0.0
+    for g in sorted(gates, key=lambda gate: gate.kind != "B"):  # B row applied first
+        full = fock_gate_matrix(g, n_sites, rep)
+        u = full @ u
+        i, _ = g.mode_pair(n_sites, periodic=False)  # open chain: wires i, i + 1
+        local = fock_gate_matrix(gate_spec("B", 0, g.matrix()), 1, lone)
+        expected = np.kron(
+            np.eye(2**i), np.kron(local, np.eye(2 ** (rep.n_modes - i - 2)))
+        )
+        locality_dev = max(locality_dev, float(np.max(np.abs(full - expected))))
     t_ref = compose_row(gates, "forward", n_sites, periodic=False)
 
     transfer_dev = 0.0
@@ -533,18 +473,6 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
     phase = complex(np.vdot(rep.vacuum, evolved))
     vacuum_dev = float(np.linalg.norm(evolved - phase * rep.vacuum))
 
-    locality_dev = 0.0
-    for g in gates:
-        i, j = g.mode_pair(n_sites, periodic=False)
-        if j != i + 1:
-            raise ValueError("gate wires must be adjacent modes for the locality check")
-        local = _two_mode_fock_block(g.matrix())
-        expected = np.kron(
-            np.eye(2**i), np.kron(local, np.eye(2 ** (rep.n_modes - i - 2)))
-        )
-        dev = float(np.max(np.abs(fock_gate_matrix(g, n_sites, rep) - expected)))
-        locality_dev = max(locality_dev, dev)
-
     overall = max(transfer_dev, vacuum_dev, abs(abs(phase) - 1.0), locality_dev)
     return FockCheck(
         max_deviation=overall,
@@ -553,19 +481,6 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
         vacuum_phase=phase,
         locality_deviation=locality_dev,
     )
-
-
-def _two_mode_fock_block(block: np.ndarray) -> np.ndarray:
-    """The 4x4 Fock unitary of a particle-conserving gate on two lone modes."""
-    h = 1j * logm(np.asarray(block, dtype=complex))
-    a = np.kron(np.array([[0, 1], [0, 0]]), np.eye(2)).astype(complex)
-    b = np.kron(np.array([[1, 0], [0, -1]]), np.array([[0, 1], [0, 0]])).astype(complex)
-    ops = [a, b]
-    quad = np.zeros((4, 4), dtype=complex)
-    for r in range(2):
-        for c in range(2):
-            quad += h[r, c] * (ops[r].conj().T @ ops[c])
-    return expm(1j * quad)
 
 
 def gates_to_json(gates: Sequence[GateSpec]) -> list[dict]:
@@ -579,11 +494,3 @@ def gates_to_json(gates: Sequence[GateSpec]) -> list[dict]:
             "unitary": [[float(z.real), float(z.imag)] for z in u],
         })
     return out
-
-
-def gates_from_json(data: Sequence[dict]) -> list[GateSpec]:
-    gates = []
-    for item in data:
-        flat = [complex(re, im) for re, im in item["unitary"]]
-        gates.append(gate_spec(item["kind"], int(item["site"]), np.array(flat).reshape(2, 2)))
-    return gates

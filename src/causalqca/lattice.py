@@ -9,7 +9,7 @@ causal order a product order on (u, v).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 class Event(NamedTuple):
@@ -66,19 +66,3 @@ def is_causal_chain(events: Sequence[Event]) -> bool:
         if (du, dv) not in ((1, 0), (0, 1)):
             return False
     return True
-
-
-def region(u_range: tuple[int, int], v_range: tuple[int, int]) -> Iterator[Event]:
-    """All events with u in [u0, u1] and v in [v0, v1] (inclusive bounds)."""
-    u0, u1 = u_range
-    v0, v1 = v_range
-    for u in range(u0, u1 + 1):
-        for v in range(v0, v1 + 1):
-            yield Event(u, v)
-
-
-def region_csv(events: Iterable[Event]) -> str:
-    """Dump events as CSV with header ``u,v,t,x`` (for plotting tools)."""
-    lines = ["u,v,t,x"]
-    lines.extend(f"{e.u},{e.v},{e.t},{e.x}" for e in events)
-    return "\n".join(lines) + "\n"

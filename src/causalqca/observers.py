@@ -79,20 +79,13 @@ class ObserverSpec:
             counts.append(counts[-1] + (ch == "R"))
         return tuple(counts)
 
-    @cached_property
-    def _prefix_left(self) -> tuple[int, ...]:
-        counts = [0]
-        for ch in self.pattern:
-            counts.append(counts[-1] + (ch == "L"))
-        return tuple(counts)
-
     def u_at(self, n: int) -> int:
         q, r = divmod(n, self.period)
         return self.origin.u + q * self.n_right + self._prefix_right[r]
 
     def v_at(self, n: int) -> int:
         q, r = divmod(n, self.period)
-        return self.origin.v + q * self.n_left + self._prefix_left[r]
+        return self.origin.v + q * self.n_left + r - self._prefix_right[r]  # the rest are L
 
     def event_at(self, n: int) -> Event:
         return Event(self.u_at(n), self.v_at(n))
@@ -103,11 +96,6 @@ class ObserverSpec:
     def leaf_step(self) -> tuple[int, int]:
         """Displacement between neighbouring events of one simultaneity leaf."""
         return (self.n_right, -self.n_left)
-
-
-def observer_event_at(spec: ObserverSpec, n: int) -> Event:
-    """The n-th chain event (n may be negative)."""
-    return spec.event_at(n)
 
 
 def _first_at_least(f: Callable[[int], int], target: int) -> int:
@@ -235,13 +223,6 @@ class CoordinateChart:
         return float(rc.t_obs) * self.scale, float(rc.x_obs) * self.scale
 
 
-def coarse_grain(chart: CoordinateChart, factor: float) -> CoordinateChart:
-    """Rescale a chart; factors compose multiplicatively."""
-    if not factor > 0:
-        raise ValueError("factor must be positive")
-    return replace(chart, scale=chart.scale * factor)
-
-
 def boost_map(
     spec_a: ObserverSpec,
     spec_b: ObserverSpec,
@@ -300,14 +281,6 @@ def fit_lorentz(mapping: np.ndarray) -> BoostFit:
     return BoostFit(beta=float(-b / g), gamma=float(g),
                     max_residual=float(np.max(np.abs(residuals))),
                     determinant=float(g * g - b * b), offset=(float(ct), float(cx)))
-
-
-def analytic_boost(beta: float) -> np.ndarray:
-    """The 2x2 boost matrix [[g, -g*b], [-g*b, g]] with g = 1/sqrt(1 - b**2)."""
-    if not abs(beta) < 1:
-        raise ValueError("|beta| must be < 1")
-    gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-    return np.array([[gamma, -gamma * beta], [-gamma * beta, gamma]])
 
 
 def velocity_addition(beta_ab: float, beta_bc: float) -> float:

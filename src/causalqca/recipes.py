@@ -1,10 +1,11 @@
 """Named, reproducible experiment recipes writing diffable CSV/JSON outputs.
 
 Each recipe is a pure function of its descriptor (name + key=value params):
-identical descriptors produce byte-identical files.  Every run writes a JSON
-summary; most also emit CSV tables, and some can render an SVG spacetime
-diagram.  A recipe reports ``ok = False`` when its built-in check fails,
-which the command-line wrapper turns into a nonzero exit code.
+identical descriptors produce byte-identical files.  A recipe returns its
+summary, its check result and its tables; :func:`run_recipe` writes the JSON
+summary and every table (CSV, JSON or SVG text).  A recipe reports
+``ok = False`` when its built-in check fails, which the command-line wrapper
+turns into a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -85,14 +86,18 @@ class RecipeResult:
     params: dict
     summary: dict
     ok: bool
-    files: list[str] = field(default_factory=list)
+    files: list[str]
+
+
+#: A recipe's output files by name: a CSV (header, rows) pair, a JSON dict or SVG text.
+Tables = dict[str, tuple[list[str], list[list]] | dict | str]
 
 
 @dataclass(frozen=True)
 class Recipe:
     doc: str
     defaults: dict
-    run: Callable[[dict, Path, bool], RecipeResult]
+    run: Callable[[dict, bool], tuple[dict, bool, Tables]]
 
 
 def _parse_overrides(defaults: dict, overrides: dict[str, str]) -> dict:
@@ -100,11 +105,9 @@ def _parse_overrides(defaults: dict, overrides: dict[str, str]) -> dict:
     for key, raw in overrides.items():
         if key not in defaults:
             valid = ", ".join(sorted(defaults)) or "(none)"
-            raise KeyError(f"unknown parameter {key!r}; valid keys: {valid}")
+            raise ValueError(f"unknown parameter {key!r}; valid keys: {valid}")
         template = defaults[key]
-        if isinstance(template, bool):
-            params[key] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(template, int):
+        if isinstance(template, int):
             params[key] = int(raw)
         elif isinstance(template, float):
             params[key] = float(raw)
@@ -117,7 +120,7 @@ def _parse_overrides(defaults: dict, overrides: dict[str, str]) -> dict:
 # recipes
 
 
-def _fig1(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _fig1(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     rest = ObserverSpec(params["rest_pattern"])
     boosted = ObserverSpec(params["boosted_pattern"])
     rest_clock = einstein_clock(rest, params["separation"])
@@ -140,7 +143,7 @@ def _fig1(params: dict, out: Path, svg: bool) -> RecipeResult:
         and rest_clock.separation_chart_events == 2
         and boosted_clock.separation_leaf_events == 1
     )
-    files = _finish(out, "fig1", summary, ok, params)
+    tables = {}
     if svg:
         window = Window((-2, 14), (-4, 14))
         du, dv = boosted.leaf_step()
@@ -159,12 +162,11 @@ def _fig1(params: dict, out: Path, svg: bool) -> RecipeResult:
             ],
             title="light clocks: rest vs boosted",
         )
-        (out / "fig1.svg").write_text(art)
-        files.append("fig1.svg")
-    return RecipeResult("fig1", params, summary, ok, files)
+        tables["fig1.svg"] = art
+    return summary, ok, tables
 
 
-def _lorentz_fit(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _lorentz_fit(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     spec_a = ObserverSpec(params["pattern_a"])
     spec_b = ObserverSpec(params["pattern_b"])
     window = Window.centered(params["t_radius"], params["x_radius"])
@@ -192,9 +194,7 @@ def _lorentz_fit(params: dict, out: Path, svg: bool) -> RecipeResult:
         and fit.max_residual <= 1.0
         and abs(fit.determinant - 1.0) <= 0.02
     )
-    write_csv(out / "mapping.csv", ["tA", "xA", "tB", "xB"], mapping.tolist())
-    files = _finish(out, "lorentz_fit", summary, ok, params)
-    files.append("mapping.csv")
+    tables = {"mapping.csv": (["tA", "xA", "tB", "xB"], mapping.tolist())}
     if svg:
         window_small = Window((-8, 8), (-10, 10))
         art = spacetime_svg(
@@ -209,12 +209,11 @@ def _lorentz_fit(params: dict, out: Path, svg: bool) -> RecipeResult:
             ],
             title=f"foliations: {spec_a.pattern} vs {spec_b.pattern}",
         )
-        (out / "foliations.svg").write_text(art)
-        files.append("foliations.svg")
-    return RecipeResult("lorentz_fit", params, summary, ok, files)
+        tables["foliations.svg"] = art
+    return summary, ok, tables
 
 
-def _dispersion(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _dispersion(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     walk = WalkParams(params["n_sites"], params["mu"])
     table = dispersion(walk)
     analytic, measured = group_velocity_max(walk)
@@ -227,13 +226,10 @@ def _dispersion(params: dict, out: Path, svg: bool) -> RecipeResult:
     }
     ok = abs(analytic - measured) <= 2.0 * math.pi / walk.n_sites
     rows = [[p, e, g] for p, e, g in zip(table.momenta, table.energy, table.group_velocity)]
-    write_csv(out / "dispersion.csv", ["p", "E", "g"], rows)
-    files = _finish(out, "dispersion", summary, ok, params)
-    files.append("dispersion.csv")
-    return RecipeResult("dispersion", params, summary, ok, files)
+    return summary, ok, {"dispersion.csv": (["p", "E", "g"], rows)}
 
 
-def _zitter(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _zitter(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     walk = WalkParams(params["n_sites"], params["mu"])
     result = zitter_frequency(walk, params["p0"], params["width"], params["steps"])
     expected = 2.0 * math.acos(max(-1.0, min(1.0, walk.zeta * math.cos(params["p0"]))))
@@ -249,13 +245,10 @@ def _zitter(params: dict, out: Path, svg: bool) -> RecipeResult:
     # decimals still show any unitarity defect of 5e-13 or more
     norms = [round(float(n), 12) for n in result.norms]
     rows = [[t, x, n] for t, (x, n) in enumerate(zip(result.mean_positions, norms))]
-    write_csv(out / "zitter_series.csv", ["t", "mean_x", "norm"], rows)
-    files = _finish(out, "zitter", summary, ok, params)
-    files.append("zitter_series.csv")
-    return RecipeResult("zitter", params, summary, ok, files)
+    return summary, ok, {"zitter_series.csv": (["t", "mean_x", "norm"], rows)}
 
 
-def _front_speed(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _front_speed(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     walk = WalkParams(params["n_sites"], params["mu"])
     speed = front_speed(walk, params["steps"], params["eps"])
     summary = {
@@ -265,31 +258,27 @@ def _front_speed(params: dict, out: Path, svg: bool) -> RecipeResult:
         "steps": params["steps"],
     }
     ok = speed <= 1.0 and abs(speed - walk.zeta) <= 0.05
-    files = _finish(out, "front_speed", summary, ok, params)
-    return RecipeResult("front_speed", params, summary, ok, files)
+    return summary, ok, {}
 
 
-def _bound_scan(params: dict, out: Path, svg: bool) -> RecipeResult:
-    mus = np.linspace(params["mu_min"], params["mu_max"], params["count"])
+def _bound_scan(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
+    if params["count"] < 1:
+        raise ValueError(f"count must be at least 1, got {params['count']}")
     rows = []
-    printed = []
-    for mu in mus:
+    for mu in np.linspace(params["mu_min"], params["mu_max"], params["count"]):
         bound = gates_mod.refraction_bound(float(mu))
         rows.append([float(mu), bound.zeta_max, bound.n_min])
-        printed.append(bound.printed_bound)
     summary = {
-        "count": int(len(rows)),
+        "count": len(rows),
         "mu_min": params["mu_min"],
         "mu_max": params["mu_max"],
-        "printed_bound_values": printed,
+        # the zeta_max column, sqrt(1 - mu**2); the key keeps the summary's format
+        "printed_bound_values": [row[1] for row in rows],
     }
-    write_csv(out / "bound_scan.csv", ["mu", "zeta_max", "n_min"], rows)
-    files = _finish(out, "bound_scan", summary, True, params)
-    files.append("bound_scan.csv")
-    return RecipeResult("bound_scan", params, summary, True, files)
+    return summary, True, {"bound_scan.csv": (["mu", "zeta_max", "n_min"], rows)}
 
 
-def _gates_verify(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _gates_verify(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     solution = gates_mod.solve_gates(
         params["zeta"], params["mu"], restarts=params["restarts"], seed=params["seed"]
     )
@@ -319,13 +308,10 @@ def _gates_verify(params: dict, out: Path, svg: bool) -> RecipeResult:
     gates = gates_mod.gates_to_json(tiles)
     for item in gates:
         item["unitary"] = [[round(x, 9) + 0.0 for x in pair] for pair in item["unitary"]]
-    write_json(out / "gates.json", {"gates": gates})
-    files = _finish(out, "gates_verify", summary, ok, params)
-    files.append("gates.json")
-    return RecipeResult("gates_verify", params, summary, ok, files)
+    return summary, ok, {"gates.json": {"gates": gates}}
 
 
-def _eff_hamiltonian(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _eff_hamiltonian(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     walk = WalkParams(params["n_sites"], params["mu"])
     dev1 = effective_hamiltonian_check(walk, 1)
     dev2 = effective_hamiltonian_check(walk, 2)
@@ -336,8 +322,7 @@ def _eff_hamiltonian(params: dict, out: Path, svg: bool) -> RecipeResult:
         "small_limit_slope": slope,
     }
     ok = dev1 <= 1e-12 and dev2 <= 1e-12 and slope >= 2.9
-    files = _finish(out, "eff_hamiltonian", summary, ok, params)
-    return RecipeResult("eff_hamiltonian", params, summary, ok, files)
+    return summary, ok, {}
 
 
 _ELECTRON_COMPTON_REDUCED = 3.8615926796e-13  # m
@@ -346,7 +331,7 @@ _PROTON_COMPTON_REDUCED = 2.10308910336e-16  # m
 _PROTON_MASS = 1.67262192369e-27  # kg
 
 
-def _units_table(params: dict, out: Path, svg: bool) -> RecipeResult:
+def _units_table(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     constants_file = os.environ.get(CONSTANTS_ENV) or None
     phys = units_mod.load_constants(constants_file)
     c = units_mod.causal_speed(phys)
@@ -371,21 +356,7 @@ def _units_table(params: dict, out: Path, svg: bool) -> RecipeResult:
         "planck_rel_err": planck_err,
     }
     ok = checks[0] <= 1e-6 and planck_err <= 1e-12
-    write_csv(out / "units.csv", ["name", "omega", "mass_kg", "compton_m"], rows)
-    files = _finish(out, "units_table", summary, ok, params)
-    files.append("units.csv")
-    return RecipeResult("units_table", params, summary, ok, files)
-
-
-def _finish(out: Path, name: str, summary: dict, ok: bool, params: dict) -> list[str]:
-    payload = {
-        "recipe": name,
-        "ok": bool(ok),
-        "params": {k: _jsonable(v) for k, v in sorted(params.items())},
-        "summary": {k: _jsonable(v) for k, v in summary.items()},
-    }
-    write_json(out / f"{name}.json", payload)
-    return [f"{name}.json"]
+    return summary, ok, {"units.csv": (["name", "omega", "mass_kg", "compton_m"], rows)}
 
 
 RECIPES: dict[str, Recipe] = {
@@ -439,12 +410,30 @@ RECIPES: dict[str, Recipe] = {
 
 def run_recipe(name: str, overrides: dict[str, str] | None = None,
                out_dir: str | Path = ".", svg: bool = False) -> RecipeResult:
-    """Run one named recipe with key=value overrides into ``out_dir``."""
+    """Run one named recipe with key=value overrides into ``out_dir``.
+
+    Raises ValueError for an unknown recipe or parameter and for parameter
+    values the recipe rejects.
+    """
     if name not in RECIPES:
         valid = ", ".join(sorted(RECIPES))
-        raise KeyError(f"unknown recipe {name!r}; valid recipes: {valid}")
+        raise ValueError(f"unknown recipe {name!r}; valid recipes: {valid}")
     recipe = RECIPES[name]
     params = _parse_overrides(recipe.defaults, overrides or {})
+    summary, ok, tables = recipe.run(params, svg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return recipe.run(params, out, svg)
+    write_json(out / f"{name}.json", {
+        "recipe": name,
+        "ok": bool(ok),
+        "params": {k: _jsonable(v) for k, v in sorted(params.items())},
+        "summary": {k: _jsonable(v) for k, v in summary.items()},
+    })
+    for file_name, table in tables.items():
+        if isinstance(table, tuple):
+            write_csv(out / file_name, *table)
+        elif isinstance(table, dict):
+            write_json(out / file_name, table)
+        else:
+            (out / file_name).write_text(table)
+    return RecipeResult(name, params, summary, ok, [f"{name}.json", *tables])

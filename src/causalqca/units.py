@@ -17,10 +17,6 @@ from pathlib import Path
 HBAR_SI = 1.054571817e-34  # J s
 C_SI = 2.99792458e8  # m/s
 
-#: Serialized stand-in for an infinite Compton wavelength (massless field).
-MASSLESS = "massless"
-
-
 @dataclass(frozen=True)
 class PhysicalUnits:
     """Conversion factors from event counts to SI units."""
@@ -34,24 +30,6 @@ class PhysicalUnits:
             raise ValueError("topon, chronon and hbar must all be positive")
         if not math.isfinite(self.topon_a / self.chronon_tau):
             raise ValueError("causal speed a/tau must be finite")
-
-
-@dataclass(frozen=True)
-class InformationalMass:
-    """A mass as a coupling frequency plus its equivalent Compton wavelength."""
-
-    omega: float  # 1/s
-    compton_lambda: float  # metres, inf when omega == 0
-
-    def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("omega must be non-negative")
-        if (self.omega == 0) != math.isinf(self.compton_lambda):
-            raise ValueError("omega == 0 if and only if the wavelength is infinite")
-
-    def to_json_value(self) -> dict:
-        lam = MASSLESS if math.isinf(self.compton_lambda) else self.compton_lambda
-        return {"omega": self.omega, "compton_lambda": lam}
 
 
 def causal_speed(units: PhysicalUnits) -> float:
@@ -94,10 +72,6 @@ def compton_from_omega(omega: float, units: PhysicalUnits) -> float:
     if omega == 0:
         return math.inf
     return causal_speed(units) / omega
-
-
-def informational_mass(omega: float, units: PhysicalUnits) -> InformationalMass:
-    return InformationalMass(omega=omega, compton_lambda=compton_from_omega(omega, units))
 
 
 def load_constants(path: str | Path | None = None) -> PhysicalUnits:

@@ -55,27 +55,6 @@ class WalkParams:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_sites)
 
 
-def coupling_from_frequency(omega: float, chronon_tau: float) -> float:
-    """Dimensionless mass coupling mu = 2 a / lambda = 2 * omega * tau.
-
-    One walk step spans two chronons, so the coupling accumulated per step is
-    twice the oscillation frequency times the chronon.
-    """
-    if omega < 0 or chronon_tau <= 0:
-        raise ValueError("omega must be non-negative and the chronon positive")
-    mu = 2.0 * omega * chronon_tau
-    if mu > 1.0:
-        raise ValueError(f"coupling {mu} exceeds 1: no unitary step at this frequency")
-    return mu
-
-
-def frequency_from_coupling(mu: float, chronon_tau: float) -> float:
-    """Inverse of :func:`coupling_from_frequency`."""
-    if not 0.0 <= mu <= 1.0 or chronon_tau <= 0:
-        raise ValueError("mu must lie in [0, 1] and the chronon be positive")
-    return mu / (2.0 * chronon_tau)
-
-
 def delta_state(params: WalkParams, site: int | None = None,
                 chirality: tuple[complex, complex] = (1.0, 1.0)) -> np.ndarray:
     """A normalized state localized on one site (default: centre of the ring)."""

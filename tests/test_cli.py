@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -54,6 +55,22 @@ def test_unknown_parameter_is_usage_error(tmp_path, capsys):
 
 def test_malformed_set_is_usage_error(tmp_path, capsys):
     assert main(["run", "--recipe", "fig1", "--set", "bogus", "--out", str(tmp_path)]) == 2
+
+
+def test_empty_bound_scan_is_usage_error(tmp_path, capsys):
+    assert main(["run", "--recipe", "bound_scan", "--set", "count=0", "--out", str(tmp_path)]) == 2
+    assert "count" in capsys.readouterr().err
+    assert not (tmp_path / "bound_scan.csv").exists()
+
+
+def test_key_error_inside_a_recipe_is_not_a_usage_error(tmp_path, monkeypatch):
+    def broken(params, svg):
+        return {}["missing"]
+
+    monkeypatch.setitem(RECIPES, "fig1", replace(RECIPES["fig1"], run=broken))
+    # a bug surfaces as an exception, not as exit 2
+    with pytest.raises(KeyError):
+        main(["run", "--recipe", "fig1", "--out", str(tmp_path)])
 
 
 def test_fig1_run_and_values(tmp_path, capsys):

@@ -8,8 +8,6 @@ from causalqca.lattice import (
     causally_precedes,
     is_causal_chain,
     predecessors,
-    region,
-    region_csv,
     signal_trace,
     successors,
 )
@@ -70,7 +68,7 @@ def _bfs_reachable(start, u_max, v_max):
 
 def test_causal_order_matches_bfs_on_region():
     # oracle: breadth-first reachability along successor edges, 20x20 region
-    nodes = list(region((0, 19), (0, 19)))
+    nodes = [Event(u, v) for u in range(20) for v in range(20)]
     for a in nodes[:: 7]:  # subsample origins to keep the quadratic scan quick
         reach = _bfs_reachable(a, 19, 19)
         for b in nodes:
@@ -105,8 +103,3 @@ def test_is_causal_chain_examples():
     assert not is_causal_chain([Event(0, 0), Event(1, 1)])
     assert is_causal_chain([])
     assert is_causal_chain([Event(5, 5)])
-
-
-def test_region_csv_format():
-    text = region_csv(region((0, 1), (0, 0)))
-    assert text == "u,v,t,x\n0,0,0,0\n1,0,1,1\n"

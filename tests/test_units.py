@@ -6,12 +6,9 @@ from hypothesis import given, strategies as st
 from causalqca.units import (
     C_SI,
     HBAR_SI,
-    MASSLESS,
-    InformationalMass,
     PhysicalUnits,
     causal_speed,
     compton_from_omega,
-    informational_mass,
     load_constants,
     mass_from_omega,
     omega_from_compton,
@@ -82,15 +79,6 @@ def test_linearity_exact_for_binary_scales(omega, exponent):
 def test_planck_relation(compton_lambda):
     mass = mass_from_omega(omega_from_compton(compton_lambda, SI), SI)
     assert mass * causal_speed(SI) * compton_lambda == pytest.approx(HBAR_SI, rel=1e-12)
-
-
-def test_informational_mass_serialization():
-    massless = informational_mass(0.0, SI)
-    assert massless.to_json_value()["compton_lambda"] == MASSLESS
-    massive = informational_mass(1e20, SI)
-    assert massive.to_json_value()["compton_lambda"] == pytest.approx(C_SI / 1e20)
-    with pytest.raises(ValueError):
-        InformationalMass(omega=1.0, compton_lambda=math.inf)
 
 
 def test_load_constants(tmp_path):

@@ -6,9 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from causalqca.walk import (
     WalkParams,
-    coupling_from_frequency,
     delta_state,
-    frequency_from_coupling,
     dispersion,
     effective_hamiltonian_check,
     evolve,
@@ -219,18 +217,6 @@ def test_zitter_guards():
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_effective_hamiltonian_closed_form(mu, k):
     assert effective_hamiltonian_check(WalkParams(64, mu), k) < 1e-12
-
-
-def test_coupling_frequency_conversion():
-    # in natural units (tau = 1) a frequency of 0.3 couples at mu = 0.6
-    assert coupling_from_frequency(0.3, 1.0) == pytest.approx(0.6)
-    assert frequency_from_coupling(0.6, 1.0) == pytest.approx(0.3)
-    for omega in (0.0, 0.1, 0.24):
-        assert frequency_from_coupling(coupling_from_frequency(omega, 2.0), 2.0) == pytest.approx(omega)
-    with pytest.raises(ValueError):
-        coupling_from_frequency(1.0, 1.0)  # mu would exceed 1
-    with pytest.raises(ValueError):
-        frequency_from_coupling(1.2, 1.0)
 
 
 def test_generator_small_limit():
