@@ -106,13 +106,12 @@ def _parse_overrides(defaults: dict, overrides: dict[str, str]) -> dict:
         if key not in defaults:
             valid = ", ".join(sorted(defaults)) or "(none)"
             raise ValueError(f"unknown parameter {key!r}; valid keys: {valid}")
-        template = defaults[key]
-        if isinstance(template, int):
-            params[key] = int(raw)
-        elif isinstance(template, float):
-            params[key] = float(raw)
-        else:
-            params[key] = raw
+        kind = type(defaults[key])  # int, float or str
+        try:
+            params[key] = kind(raw)
+        except ValueError:
+            article = "an" if kind is int else "a"
+            raise ValueError(f"{key} must be {article} {kind.__name__}, got {raw!r}") from None
     return params
 
 

@@ -240,15 +240,17 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     periods, otherwise the spectral resolution 2*pi/steps cannot isolate the
     peak.
     """
+    if steps < 2:  # the linear detrend needs two samples
+        raise ValueError(f"steps must be at least 2, got {steps}")
     expected_gap = 2.0 * math.acos(np.clip(params.zeta * math.cos(p0), -1.0, 1.0))
     if params.mu > 0.0 and steps * expected_gap < 4.0 * math.pi:
         raise ValueError(
             f"steps={steps} resolves frequencies only down to {2 * math.pi / steps:.3g} rad/step; "
             f"need at least {math.ceil(4 * math.pi / expected_gap)} steps for this packet"
         )
+    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))  # rejects width <= 0
     _check_packet_stays_on_ring(params, p0, width, steps)
     center = params.n_sites // 2
-    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))
     positions = np.arange(params.n_sites) - center
     blocks = momentum_blocks(params, 1)
     phi = np.fft.ifft(psi, axis=0, norm="ortho")

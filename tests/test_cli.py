@@ -63,6 +63,20 @@ def test_empty_bound_scan_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "bound_scan.csv").exists()
 
 
+@pytest.mark.parametrize("recipe, setting, message", [
+    ("gates_verify", "restarts=-1", "restarts must be at least 0, got -1"),
+    ("zitter", "steps=0", "steps must be at least 2, got 0"),
+    ("zitter", "width=0", "width must be positive"),
+    ("bound_scan", "count=abc", "count must be an int, got 'abc'"),
+    ("bound_scan", "mu_max=x", "mu_max must be a float, got 'x'"),
+])
+def test_rejected_value_is_usage_error(recipe, setting, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--recipe", recipe, "--set", setting, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_key_error_inside_a_recipe_is_not_a_usage_error(tmp_path, monkeypatch):
     def broken(params, svg):
         return {}["missing"]

@@ -3,9 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from causalqca import gates
 from causalqca.gates import (
     SWAP2,
     FockRep,
+    _combination_target,
+    _jacobian,
+    _residual,
     canonical_gates,
     check_fb_combination,
     compose_row,
@@ -169,6 +173,40 @@ def test_solve_gates_returns_the_fixed_gauge(mu, seed, restarts, below):
     assert sol.status == "feasible"
     for got, want in zip((sol.gate_a, sol.gate_b), canonical_gates(zeta_max, mu)):
         assert np.max(np.abs(got.matrix() - want.matrix())) <= 1e-12
+
+
+def test_analytic_jacobian_matches_central_differences():
+    momenta = 2.0 * np.pi * np.fft.fftfreq(16)
+    target = _combination_target(0.7, 0.5, momenta)
+    points = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(20, 8))
+    # theta of A and of B at the edges of the chart: pure phase and pure swap
+    points[0, [1, 5]] = 0.0
+    points[1, [1, 5]] = math.pi / 2
+    points[2, [1, 5]] = (0.0, math.pi / 2)
+    h = 1e-6
+    for x in points:
+        central = np.stack([
+            (_residual(x + e, momenta, target) - _residual(x - e, momenta, target)) / (2 * h)
+            for e in h * np.eye(8)
+        ], axis=1)
+        assert np.max(np.abs(_jacobian(x, momenta, target) - central)) <= 1e-6
+
+
+@pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 23), (1.001, "infeasible", 22)])
+def test_saturating_pass_runs_from_the_warm_start(monkeypatch, factor, status, calls):
+    # a below-bound request runs all 22 starts against its literal target,
+    # then the saturating target from the exact warm start alone
+    fits = []
+    real = gates.least_squares
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "least_squares", counted)
+    sol = solve_gates(factor * 0.8, 0.6, restarts=20, seed=0)
+    assert sol.status == status
+    assert len(fits) == calls
 
 
 def test_refraction_bound():
