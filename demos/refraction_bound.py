@@ -29,12 +29,10 @@ for mu10 in range(0, 11, 2):
 print("\n== a closed-form gate pair on the bound ==")
 zeta, mu = 0.8, 0.6
 gate_a, gate_b = canonical_gates(zeta, mu)
-tiles = tile_gates(gate_a, gate_b, 8)
-t_f = compose_row(tiles, "forward", 8)
-t_b = compose_row(tiles, "backward", 8)
+t = compose_row(tile_gates(gate_a, gate_b, 8), 8)
 print(f"A = {gate_a.matrix().round(3).tolist()}")
 print(f"B = {gate_b.matrix().round(3).tolist()} (a swap)")
-print(f"combination defect against the Dirac form: {check_fb_combination(t_f, t_b, zeta, mu / 2):.2e}")
+print(f"combination defect against the Dirac form: {check_fb_combination(t, zeta, mu / 2):.2e}")
 
 print("\n== searching near the bound (mu = 0.6, zeta_max = 0.8) ==")
 for zeta_req in (0.8 * (1 - 1e-6), 0.8 * 1.001, 0.9):

@@ -22,7 +22,6 @@ from .lattice import Event, causally_precedes, is_causal_chain, signal_trace, su
 from .observers import (
     BoostFit,
     ClockTicTac,
-    CoordinateChart,
     FoliationLeaf,
     ObserverSpec,
     RadarCoordinate,
@@ -55,7 +54,6 @@ __all__ = [
     "ObserverSpec",
     "RadarCoordinate",
     "FoliationLeaf",
-    "CoordinateChart",
     "Window",
     "BoostFit",
     "ClockTicTac",

@@ -207,41 +207,22 @@ def default_scale(spec: ObserverSpec) -> float:
     return 2.0 * math.sqrt(spec.n_right * spec.n_left) / spec.period
 
 
-@dataclass(frozen=True)
-class CoordinateChart:
-    """An observer plus the coarse-graining factor applied to its radar grid."""
-
-    observer: ObserverSpec
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-
-    def coordinates(self, e: Event) -> tuple[float, float]:
-        rc = radar_coordinates(self.observer, e)
-        return float(rc.t_obs) * self.scale, float(rc.x_obs) * self.scale
-
-
 def boost_map(
-    spec_a: ObserverSpec,
-    spec_b: ObserverSpec,
-    window: Window,
-    scale_a: float | None = None,
-    scale_b: float | None = None,
+    spec_a: ObserverSpec, spec_b: ObserverSpec, window: Window, scale_a: float, scale_b: float
 ) -> np.ndarray:
     """Chart coordinates of every window event under two observers.
 
-    Returns an (N, 4) array of rows (tA, xA, tB, xB).  Scales default to the
-    symmetric proper-time normalization of :func:`default_scale`.
+    Returns an (N, 4) array of rows (tA, xA, tB, xB): each observer's radar
+    coordinates times its coarse-graining factor, usually a multiple of
+    :func:`default_scale`.
     """
-    chart_a = CoordinateChart(spec_a, default_scale(spec_a) if scale_a is None else scale_a)
-    chart_b = CoordinateChart(spec_b, default_scale(spec_b) if scale_b is None else scale_b)
+    if not (scale_a > 0 and scale_b > 0):
+        raise ValueError(f"scales must be positive, got {scale_a} and {scale_b}")
     rows = []
     for e in window.events():
-        ta, xa = chart_a.coordinates(e)
-        tb, xb = chart_b.coordinates(e)
-        rows.append((ta, xa, tb, xb))
+        ra, rb = radar_coordinates(spec_a, e), radar_coordinates(spec_b, e)
+        rows.append((float(ra.t_obs) * scale_a, float(ra.x_obs) * scale_a,
+                     float(rb.t_obs) * scale_b, float(rb.x_obs) * scale_b))
     return np.asarray(rows, dtype=float)
 
 

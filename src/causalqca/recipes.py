@@ -314,7 +314,7 @@ def _eff_hamiltonian(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     walk = WalkParams(params["n_sites"], params["mu"])
     dev1 = effective_hamiltonian_check(walk, 1)
     dev2 = effective_hamiltonian_check(walk, 2)
-    slope = generator_small_limit_slope(k=2)
+    slope = generator_small_limit_slope()
     summary = {
         "deviation_k1": dev1,
         "deviation_k2": dev2,

@@ -26,8 +26,10 @@ class PhysicalUnits:
     hbar: float = HBAR_SI  # J s
 
     def __post_init__(self):
-        if not (self.topon_a > 0 and self.chronon_tau > 0 and self.hbar > 0):
-            raise ValueError("topon, chronon and hbar must all be positive")
+        for name in ("topon_a", "chronon_tau", "hbar"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not math.isfinite(self.topon_a / self.chronon_tau):
             raise ValueError("causal speed a/tau must be finite")
 
@@ -79,7 +81,8 @@ def load_constants(path: str | Path | None = None) -> PhysicalUnits:
 
     Recognised keys: ``hbar``, ``c``, ``topon_a``, ``chronon_tau``.  When only
     ``c`` is given the topon/chronon pair defaults to (c, 1); only the ratio
-    enters any conversion.  ``None`` or a missing file yields CODATA defaults.
+    enters any conversion.  ``None`` yields CODATA defaults; a missing file
+    raises ``FileNotFoundError``.
     """
     values: dict[str, float] = {}
     if path is not None:
@@ -94,7 +97,10 @@ def load_constants(path: str | Path | None = None) -> PhysicalUnits:
             key = key.strip()
             if key not in {"hbar", "c", "topon_a", "chronon_tau"}:
                 raise ValueError(f"{path}:{lineno}: unknown constant {key!r}")
-            values[key] = float(value.strip())
+            try:
+                values[key] = float(value.strip())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be a number, got {value.strip()!r}") from None
 
     hbar = values.get("hbar", HBAR_SI)
     if "topon_a" in values or "chronon_tau" in values:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -31,25 +32,24 @@ _SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class WalkParams:
-    """Ring size plus the mass coupling mu and flow speed zeta of one step.
+    """Ring size plus the mass coupling mu of one step.
 
-    ``zeta`` defaults to sqrt(1 - mu**2), the unique unitary choice; passing
-    any other value is rejected since the step operator would not be unitary.
+    The flow speed ``zeta`` is sqrt(1 - mu**2), the unique value for which
+    the step operator is unitary.
     """
 
     n_sites: int
     mu: float
-    zeta: float | None = None
 
     def __post_init__(self):
         if self.n_sites <= 0 or self.n_sites % 2 != 0:
             raise ValueError("n_sites must be a positive even integer")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError("mu must lie in [0, 1]")
-        zeta = math.sqrt(max(0.0, 1.0 - self.mu * self.mu)) if self.zeta is None else self.zeta
-        object.__setattr__(self, "zeta", float(zeta))
-        if abs(self.zeta**2 + self.mu**2 - 1.0) > 1e-14:
-            raise ValueError("zeta**2 + mu**2 must equal 1 (unitary step)")
+
+    @cached_property
+    def zeta(self) -> float:
+        return math.sqrt(1.0 - self.mu * self.mu)
 
     def momenta(self) -> np.ndarray:
         return 2.0 * np.pi * np.fft.fftfreq(self.n_sites)
@@ -66,14 +66,12 @@ def delta_state(params: WalkParams, site: int | None = None,
 
 
 def gaussian_packet(params: WalkParams, p0: float, width: float,
-                    center: int | None = None,
                     chirality: tuple[complex, complex] = (1.0, 1.0)) -> np.ndarray:
-    """Gaussian wavepacket at momentum p0 with equal-weight chirality pair."""
-    if width <= 0:
-        raise ValueError("width must be positive")
+    """Gaussian wavepacket at momentum p0 about the ring's centre site."""
+    if not width > 0:
+        raise ValueError(f"width must be positive, got {width}")
     n = np.arange(params.n_sites)
-    c = params.n_sites // 2 if center is None else center
-    envelope = np.exp(-((n - c) ** 2) / (4.0 * width**2) + 1j * p0 * n)
+    envelope = np.exp(-((n - params.n_sites // 2) ** 2) / (4.0 * width**2) + 1j * p0 * n)
     amp = np.asarray(chirality, dtype=complex)
     psi = envelope[:, None] * (amp / np.linalg.norm(amp))[None, :]
     return psi / np.linalg.norm(psi)
@@ -240,6 +238,8 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     periods, otherwise the spectral resolution 2*pi/steps cannot isolate the
     peak.
     """
+    if not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0}")
     if steps < 2:  # the linear detrend needs two samples
         raise ValueError(f"steps must be at least 2, got {steps}")
     expected_gap = 2.0 * math.acos(np.clip(params.zeta * math.cos(p0), -1.0, 1.0))
@@ -248,7 +248,7 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
             f"steps={steps} resolves frequencies only down to {2 * math.pi / steps:.3g} rad/step; "
             f"need at least {math.ceil(4 * math.pi / expected_gap)} steps for this packet"
         )
-    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))  # rejects width <= 0
+    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))  # rejects width <= 0 and nan
     _check_packet_stays_on_ring(params, p0, width, steps)
     center = params.n_sites // 2
     positions = np.arange(params.n_sites) - center
@@ -311,13 +311,13 @@ def generator_small_limit_deviation(mu: float, p: float, k: int = 2) -> float:
     return float(np.max(np.abs(generator - target)))
 
 
-def generator_small_limit_slope(k: int = 2, scales: np.ndarray | None = None) -> float:
-    """Log-log convergence order of the generator toward the leading form.
+def generator_small_limit_slope() -> float:
+    """Log-log convergence order of the stride-2 generator toward the leading form.
 
     Samples the deviation along (p, mu) = s * (1, 1)/sqrt(2) and fits the
     slope of log(deviation) against log(s); a cubic remainder gives ~3.
     """
-    s = np.geomspace(5e-3, 0.14, 12) if scales is None else np.asarray(scales)
-    devs = np.array([generator_small_limit_deviation(x / math.sqrt(2.0), x / math.sqrt(2.0), k) for x in s])
+    s = np.geomspace(5e-3, 0.14, 12)
+    devs = np.array([generator_small_limit_deviation(x / math.sqrt(2.0), x / math.sqrt(2.0)) for x in s])
     slope, _ = np.polyfit(np.log(s), np.log(devs), 1)
     return float(slope)

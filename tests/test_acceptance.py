@@ -164,7 +164,7 @@ def test_criterion_5_zitterbewegung():
 def test_criterion_6_coarse_grained_generator():
     start = time.perf_counter()
     devs = [effective_hamiltonian_check(WalkParams(64, 0.6), k) for k in (1, 2)]
-    slope = generator_small_limit_slope(k=2)
+    slope = generator_small_limit_slope()
     elapsed = time.perf_counter() - start
     ok = max(devs) <= 1e-12 and slope >= 2.9 and elapsed < 5.0
     _report(

@@ -67,6 +67,10 @@ def test_empty_bound_scan_is_usage_error(tmp_path, capsys):
     ("gates_verify", "restarts=-1", "restarts must be at least 0, got -1"),
     ("zitter", "steps=0", "steps must be at least 2, got 0"),
     ("zitter", "width=0", "width must be positive"),
+    ("zitter", "width=nan", "width must be positive, got nan"),
+    ("zitter", "p0=nan", "p0 must be finite, got nan"),
+    ("zitter", "p0=inf", "p0 must be finite, got inf"),
+    ("gates_verify", "seed=-1", "seed must be at least 0, got -1"),
     ("bound_scan", "count=abc", "count must be an int, got 'abc'"),
     ("bound_scan", "mu_max=x", "mu_max must be a float, got 'x'"),
 ])

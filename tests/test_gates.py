@@ -62,9 +62,9 @@ def test_vacuum_is_annihilated():
 def test_compose_row_identity_and_swap():
     n = 4
     ident = tile_gates(gate_spec("A", 0, np.eye(2)), gate_spec("B", 0, np.eye(2)), n)
-    assert np.array_equal(compose_row(ident, "forward", n), np.eye(2 * n))
+    assert np.array_equal(compose_row(ident, n), np.eye(2 * n))
 
-    t = compose_row([gate_spec("A", 1, SWAP2)], "forward", n, periodic=False)
+    t = compose_row([gate_spec("A", 1, SWAP2)], n, periodic=False)
     i, j = mode_index(1, "-", n), mode_index(2, "+", n)
     expected = np.eye(2 * n)
     expected[[i, j]] = expected[[j, i]]
@@ -73,7 +73,7 @@ def test_compose_row_identity_and_swap():
 
 def test_compose_row_rejects_overlap():
     with pytest.raises(ValueError):
-        compose_row([gate_spec("B", 1, SWAP2), gate_spec("B", 1, np.eye(2))], "forward", 4)
+        compose_row([gate_spec("B", 1, SWAP2), gate_spec("B", 1, np.eye(2))], 4)
 
 
 def test_compose_row_unitary_for_random_gates():
@@ -86,7 +86,7 @@ def test_compose_row_unitary_for_random_gates():
         for site in range(3):
             q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
             gates.append(gate_spec("A", site, q))
-        t = compose_row(gates, "forward", 4, periodic=False)
+        t = compose_row(gates, 4, periodic=False)
         assert np.max(np.abs(t.conj().T @ t - np.eye(8))) < 1e-12
 
 
@@ -94,44 +94,40 @@ def test_extract_row_amplitudes():
     # the plus row of site n: stay-put at (n, +), shift at (n + 1, +), mixing at (n, -)
     n = 6
     stay, shift, minus = (mode_index(3, "+", n), mode_index(4, "+", n), mode_index(3, "-", n))
-    ident = compose_row(tile_gates(gate_spec("A", 0, np.eye(2)), gate_spec("B", 0, np.eye(2)), n), "forward", n)
+    ident = compose_row(tile_gates(gate_spec("A", 0, np.eye(2)), gate_spec("B", 0, np.eye(2)), n), n)
     assert (ident[stay, stay], ident[stay, shift], ident[stay, minus]) == (1, 0, 0)
 
-    pure_shift = compose_row(tile_gates(*canonical_gates(1.0, 0.0), n), "forward", n)
+    pure_shift = compose_row(tile_gates(*canonical_gates(1.0, 0.0), n), n)
     assert (pure_shift[stay, stay], pure_shift[stay, shift], pure_shift[stay, minus]) == (0, 1, 0)
 
     ga, gb = canonical_gates(0.8, 0.6)
-    t = compose_row(tile_gates(ga, gb, n), "forward", n)
+    t = compose_row(tile_gates(ga, gb, n), n)
     assert t[stay, shift] == pytest.approx(0.8)
     assert t[stay, minus] == pytest.approx(-0.6j)
     # the inverse evolution's mixing differs by -2j*mu
     assert t[stay, minus] - np.conj(t[minus, stay]) == pytest.approx(-2j * 0.6)
     assert np.linalg.norm(t[stay]) ** 2 == pytest.approx(1.0, abs=1e-12)
     # backward rows shift the other way
-    back = compose_row(tile_gates(ga, gb, n), "backward", n)
+    back = t.conj().T
     assert back[stay, mode_index(2, "+", n)] == pytest.approx(0.8)
 
 
 def test_fb_combination_trivial_and_canonical():
     n = 6
     eye = np.eye(2 * n, dtype=complex)
-    assert check_fb_combination(eye, eye, 0.0, 0.0) == 0.0
+    assert check_fb_combination(eye, 0.0, 0.0) == 0.0
 
     ga, gb = canonical_gates(0.8, 0.6)
-    tiles = tile_gates(ga, gb, n)
-    tf = compose_row(tiles, "forward", n)
-    tb = compose_row(tiles, "backward", n)
-    assert check_fb_combination(tf, tb, 0.8, 0.3) < 1e-12  # a/lambda = mu/2
+    t = compose_row(tile_gates(ga, gb, n), n)
+    assert check_fb_combination(t, 0.8, 0.3) < 1e-12  # a/lambda = mu/2
 
 
 def test_fb_combination_sensitive_to_perturbations():
     n = 6
     ga, gb = canonical_gates(0.8, 0.6)
     bumped = gate_spec("A", 0, ga.matrix() * np.exp(1e-3j))
-    tiles = tile_gates(bumped, gb, n)
-    tf = compose_row(tiles, "forward", n)
-    tb = compose_row(tiles, "backward", n)
-    assert check_fb_combination(tf, tb, 0.8, 0.3) >= 1e-4
+    t = compose_row(tile_gates(bumped, gb, n), n)
+    assert check_fb_combination(t, 0.8, 0.3) >= 1e-4
 
 
 def test_solve_gates_massless():
@@ -162,7 +158,9 @@ def test_solve_gates_at_and_over_the_bound():
 
 @pytest.mark.parametrize(
     "mu, seed, restarts",
-    [(0.3, 1, 3), (0.6, 5, 3), (0.8, 7, 3), (0.3, 7, 20), (0.6, 1, 20), (0.8, 5, 20)],
+    [(0.3, 1, 3), (0.6, 5, 3), (0.8, 7, 3), (0.3, 7, 20), (0.6, 1, 20), (0.8, 5, 20),
+     # the ends of the coupling range: massless, nearly massless, nearly frozen
+     (0.0, 1, 3), (1e-12, 5, 3), (0.95, 7, 3), (0.999, 1, 3)],
 )
 @pytest.mark.parametrize("below", [1.0, 0.9])
 def test_solve_gates_returns_the_fixed_gauge(mu, seed, restarts, below):
@@ -173,6 +171,17 @@ def test_solve_gates_returns_the_fixed_gauge(mu, seed, restarts, below):
     assert sol.status == "feasible"
     for got, want in zip((sol.gate_a, sol.gate_b), canonical_gates(zeta_max, mu)):
         assert np.max(np.abs(got.matrix() - want.matrix())) <= 1e-12
+
+
+@pytest.mark.parametrize("zeta, mu", [(0.8, 0.6), (0.7, 0.6), (0.9, 0.6), (1.0, 0.0), (0.5, 0.95)])
+def test_achieved_zeta_matches_the_real_space_transfer(zeta, mu):
+    # feasible, below-bound and infeasible requests: the flow speed read off
+    # the (n, +) <- (n + 1, +) entry of T - T^dag on a tiled ring
+    sol = solve_gates(zeta, mu, restarts=3, seed=2)
+    n = 6
+    t = compose_row(tile_gates(sol.gate_a, sol.gate_b, n), n)
+    row, col = mode_index(n // 2, "+", n), mode_index(n // 2 + 1, "+", n)
+    assert abs(sol.achieved_zeta - (t - t.conj().T)[row, col].real) <= 1e-15
 
 
 def test_analytic_jacobian_matches_central_differences():
@@ -238,7 +247,7 @@ def test_fock_swap_gates_transpose_modes():
     gates = [gate_spec("A", s, SWAP2) for s in range(2)]
     chk = fock_consistency(gates, 3)
     assert chk.max_deviation < 1e-12
-    t = compose_row(gates, "forward", 3, periodic=False)
+    t = compose_row(gates, 3, periodic=False)
     assert t[mode_index(0, "-", 3), mode_index(1, "+", 3)] == 1
 
 
@@ -265,8 +274,8 @@ def test_fock_oracle_validates_random_gates():
 
 def test_gate_locality_of_single_gate():
     g = gate_spec("A", 1, canonical_gates(0.8, 0.6)[0].matrix())
-    full = fock_gate_matrix(g, 3)
     rep = FockRep(3)
+    full = fock_gate_matrix(g, rep)
     # identity action on every basis state of the untouched wires
     i, j = g.mode_pair(3, periodic=False)
     for pauli in (np.array([[0, 1], [1, 0]]), np.array([[1, 0], [0, -1]])):

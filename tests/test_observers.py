@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from causalqca.lattice import Event, causally_precedes
 from causalqca.observers import (
-    CoordinateChart,
     ObserverSpec,
     Window,
     boost_map,
@@ -213,9 +212,9 @@ def test_einstein_clock_scales_with_separation():
 
 
 def test_coarse_grain_composition():
-    e = Event.from_tx(0, 4)
-    t1, x1 = CoordinateChart(REST, 1.0).coordinates(e)
-    t2, x2 = CoordinateChart(REST, 0.25).coordinates(e)
-    assert (t2, x2) == (0.25 * t1, 0.25 * x1)
-    with pytest.raises(ValueError):
-        CoordinateChart(REST, 0.0)
+    window = Window.centered(4, 4)
+    mapping = boost_map(REST, REST, window, scale_a=1.0, scale_b=0.25)
+    assert np.array_equal(mapping[:, 2:], 0.25 * mapping[:, :2])
+    for scales in ((0.0, 1.0), (1.0, 0.0)):
+        with pytest.raises(ValueError):
+            boost_map(REST, REST, window, *scales)

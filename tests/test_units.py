@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +30,10 @@ def test_invalid_units_rejected():
     for bad in (dict(topon_a=0.0), dict(chronon_tau=-1.0), dict(hbar=0.0)):
         with pytest.raises(ValueError):
             PhysicalUnits(**bad)
+    for name in ("topon_a", "chronon_tau", "hbar"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+                PhysicalUnits(**{name: value})
 
 
 def test_mass_from_omega_trivial():
@@ -99,3 +104,15 @@ def test_load_constants(tmp_path):
     path.write_text("no equals sign here\n")
     with pytest.raises(ValueError):
         load_constants(path)
+
+
+def test_load_constants_names_the_bad_value(tmp_path):
+    path = tmp_path / "constants.txt"
+    path.write_text("c = 1.0\nhbar=abc\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: hbar must be a number, got 'abc'")):
+        load_constants(path)
+    path.write_text("hbar = inf\n")
+    with pytest.raises(ValueError, match="hbar must be finite and positive, got inf"):
+        load_constants(path)
+    with pytest.raises(FileNotFoundError):
+        load_constants(tmp_path / "missing.txt")

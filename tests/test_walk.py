@@ -30,8 +30,16 @@ def test_params_validation():
         WalkParams(15, 0.5)  # odd
     with pytest.raises(ValueError):
         WalkParams(16, 1.5)
-    with pytest.raises(ValueError):
-        WalkParams(16, 0.6, zeta=0.9)  # not unitary
+
+
+def test_gaussian_packet_is_centred_and_rejects_bad_width():
+    params = WalkParams(64, 0.6)
+    psi = gaussian_packet(params, p0=0.3, width=4.0)
+    assert np.argmax(np.sum(np.abs(psi) ** 2, axis=1)) == 32
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="width must be positive"):
+            gaussian_packet(params, p0=0.0, width=bad)
 
 
 def test_massless_step_is_pure_shift():
@@ -221,7 +229,7 @@ def test_effective_hamiltonian_closed_form(mu, k):
 
 def test_generator_small_limit():
     # remainder falls off cubically in the joint momentum/coupling scale
-    assert generator_small_limit_slope(k=2) >= 2.9
+    assert generator_small_limit_slope() >= 2.9
     assert generator_small_limit_deviation(0.0, 0.0, k=1) == 0.0
     big = generator_small_limit_deviation(0.2, 0.2, k=2)
     small = generator_small_limit_deviation(0.02, 0.02, k=2)
