@@ -386,8 +386,8 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     the rows of A are counter-rotated to match.  For feasible requests, at or
     below the bound, this is ``canonical_gates(sqrt(1 - mu**2), mu)``.
     """
-    if not 0.0 < zeta:
-        raise ValueError("zeta must be positive")
+    if not 0.0 < zeta < math.inf:
+        raise ValueError(f"zeta must be finite and positive, got {zeta}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
     if restarts < 0:

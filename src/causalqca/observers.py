@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -93,29 +93,25 @@ class ObserverSpec:
     def translated(self, du: int, dv: int) -> "ObserverSpec":
         return replace(self, origin=Event(self.origin.u + du, self.origin.v + dv))
 
+    @cached_property
+    def _step_ends(self) -> dict[str, tuple[int, ...]]:
+        """Per step kind, the index just after each such step within one period."""
+        return {kind: tuple(i + 1 for i, ch in enumerate(self.pattern) if ch == kind)
+                for kind in "RL"}
+
+    def first_u_at_least(self, target: int) -> int:
+        """Smallest chain index n with u_at(n) >= target."""
+        q, k = divmod(target - self.origin.u - 1, self.n_right)
+        return q * self.period + self._step_ends["R"][k]
+
+    def first_v_at_least(self, target: int) -> int:
+        """Smallest chain index n with v_at(n) >= target."""
+        q, k = divmod(target - self.origin.v - 1, self.n_left)
+        return q * self.period + self._step_ends["L"][k]
+
     def leaf_step(self) -> tuple[int, int]:
         """Displacement between neighbouring events of one simultaneity leaf."""
         return (self.n_right, -self.n_left)
-
-
-def _first_at_least(f: Callable[[int], int], target: int) -> int:
-    """Smallest integer n with f(n) >= target, for f non-decreasing, unbounded."""
-    lo = 0
-    step = 1
-    while f(lo) >= target:
-        lo -= step
-        step *= 2
-    hi = lo + step
-    while f(hi) < target:
-        hi += step
-        step *= 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if f(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 class RadarCoordinate(NamedTuple):
@@ -139,10 +135,10 @@ def radar_coordinates(spec: ObserverSpec, e: Event) -> RadarCoordinate:
     |x_obs| the half width.  x_obs is positive when the emission leaves the
     chain rightward (e on the observer's right).
     """
-    last_u = _first_at_least(spec.u_at, e.u + 1) - 1  # last index with u <= e.u
-    last_v = _first_at_least(spec.v_at, e.v + 1) - 1
-    first_u = _first_at_least(spec.u_at, e.u)
-    first_v = _first_at_least(spec.v_at, e.v)
+    last_u = spec.first_u_at_least(e.u + 1) - 1  # last index with u <= e.u
+    last_v = spec.first_v_at_least(e.v + 1) - 1
+    first_u = spec.first_u_at_least(e.u)
+    first_v = spec.first_v_at_least(e.v)
     t1 = min(last_u, last_v)
     t2 = max(first_u, first_v)
 
@@ -216,8 +212,8 @@ def boost_map(
     coordinates times its coarse-graining factor, usually a multiple of
     :func:`default_scale`.
     """
-    if not (scale_a > 0 and scale_b > 0):
-        raise ValueError(f"scales must be positive, got {scale_a} and {scale_b}")
+    if not (0 < scale_a < math.inf and 0 < scale_b < math.inf):
+        raise ValueError(f"scales must be finite and positive, got {scale_a} and {scale_b}")
     rows = []
     for e in window.events():
         ra, rb = radar_coordinates(spec_a, e), radar_coordinates(spec_b, e)
@@ -246,6 +242,8 @@ def fit_lorentz(mapping: np.ndarray) -> BoostFit:
     m = np.asarray(mapping, dtype=float)
     if m.ndim != 2 or m.shape[1] != 4 or m.shape[0] < 8:
         raise ValueError("mapping must be an (N >= 8, 4) array of (tA, xA, tB, xB)")
+    if not np.isfinite(m).all():
+        raise ValueError("mapping must be finite: a chart coordinate is inf or nan")
     ta, xa, tb, xb = m.T
     n = len(ta)
     zeros = np.zeros(n)
@@ -274,9 +272,6 @@ class ClockTicTac(NamedTuple):
     event_count: int
     separation_leaf_events: int
     separation_chart_events: int
-    emission_index: int
-    reflection_event: Event
-    reception_index: int
 
 
 def einstein_clock(spec: ObserverSpec, mirror_separation: int = 1) -> ClockTicTac:
@@ -286,35 +281,16 @@ def einstein_clock(spec: ObserverSpec, mirror_separation: int = 1) -> ClockTicTa
     mirror sits ``mirror_separation`` leaf events away on the simultaneity
     leaf through the origin (one leaf event spans ``period`` chart events).
     A lightlike signal leaves the near mirror at index 0, reflects off the far
-    mirror and returns; both worldlines are then counted over the closed leaf-
-    time interval of the round trip, which spans the same number of chain
-    events on each mirror.
+    mirror and returns, each leg ending at a radar reception; both worldlines
+    are then counted over the closed leaf-time interval [0, m] of the round
+    trip, which spans the same number of chain events on each mirror.
     """
     if mirror_separation < 1:
         raise ValueError("mirror_separation must be at least one leaf event")
     du, dv = spec.leaf_step()
     far = spec.translated(mirror_separation * du, mirror_separation * dv)
-
-    origin = spec.origin
-    k = _first_at_least(far.v_at, origin.v)
-    if far.v_at(k) != origin.v or far.u_at(k) <= origin.u:
-        raise RuntimeError("right-moving signal missed the far mirror")
-    reflection = Event(far.u_at(k), origin.v)
-
-    m = _first_at_least(spec.u_at, reflection.u)
-    if spec.u_at(m) != reflection.u:
-        raise RuntimeError("returning signal missed the near mirror")
-    if spec.v_at(m) <= reflection.v:
-        m = _first_at_least(spec.v_at, reflection.v + 1)
-        if spec.u_at(m) != reflection.u:
-            raise RuntimeError("returning signal missed the near mirror")
-
-    per_mirror = m - 0 + 1  # closed interval [emission, reception] in leaf time
-    return ClockTicTac(
-        event_count=2 * per_mirror,
-        separation_leaf_events=mirror_separation,
-        separation_chart_events=mirror_separation * spec.period,
-        emission_index=0,
-        reflection_event=reflection,
-        reception_index=m,
-    )
+    # the mirrors are disjoint translates, and v (then u) moves by at most one
+    # per index, so each reception lies on the ray that left the other mirror
+    reflection = far.event_at(radar_coordinates(far, spec.origin).reception)
+    m = radar_coordinates(spec, reflection).reception
+    return ClockTicTac(2 * (m + 1), mirror_separation, mirror_separation * spec.period)

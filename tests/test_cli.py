@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from causalqca.cli import main
 from causalqca.recipes import CONSTANTS_ENV, RECIPES, run_recipe
@@ -63,6 +65,16 @@ def test_empty_bound_scan_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "bound_scan.csv").exists()
 
 
+# cases that once hung run in a child process, so a regression fails on the
+# timeout instead of stalling the suite
+_ONCE_HUNG = {("lorentz_fit", "coarse=1e308")}
+
+
+def _child_env() -> dict:
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.mark.parametrize("recipe, setting, message", [
     ("gates_verify", "restarts=-1", "restarts must be at least 0, got -1"),
     ("zitter", "steps=0", "steps must be at least 2, got 0"),
@@ -73,11 +85,27 @@ def test_empty_bound_scan_is_usage_error(tmp_path, capsys):
     ("gates_verify", "seed=-1", "seed must be at least 0, got -1"),
     ("bound_scan", "count=abc", "count must be an int, got 'abc'"),
     ("bound_scan", "mu_max=x", "mu_max must be a float, got 'x'"),
+    ("bound_scan", "mu_max=inf", "mu_max must lie in [0, 1], got inf"),
+    ("bound_scan", "mu_min=-0.5", "mu_min must lie in [0, 1], got -0.5"),
+    ("gates_verify", "zeta=inf", "zeta must be finite and positive, got inf"),
+    ("lorentz_fit", "coarse=inf", "scales must be finite and positive, got inf and inf"),
+    ("lorentz_fit", "coarse=1e308", "mapping must be finite"),
 ])
 def test_rejected_value_is_usage_error(recipe, setting, message, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["run", "--recipe", recipe, "--set", setting, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
+    args = ["run", "--recipe", recipe, "--set", setting, "--out", str(out)]
+    if (recipe, setting) in _ONCE_HUNG:
+        proc = subprocess.run([sys.executable, "-W", "always", "-m", "causalqca.cli", *args],
+                              capture_output=True, text=True, timeout=30, env=_child_env())
+        code, err = proc.returncode, proc.stderr
+    else:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a rejected value prints no warning
+            code = main(args)
+        err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+    assert "Warning" not in err
     assert not out.exists()
 
 
@@ -101,6 +129,22 @@ def test_fig1_run_and_values(tmp_path, capsys):
     assert (tmp_path / "fig1.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("pattern", ["LLLR", "LLR", "LLLLR"])
+def test_fig1_mirrored_pattern_passes(pattern, tmp_path):
+    assert main(["run", "--recipe", "fig1", "--set", f"boosted_pattern={pattern}",
+                 "--out", str(tmp_path)]) == 0
+
+
+patterns = st.text(alphabet="RL", min_size=2, max_size=8).filter(lambda p: "R" in p and "L" in p)
+
+
+@given(patterns, patterns, st.integers(1, 50))
+def test_fig1_check_holds_for_every_clock(rest, boosted, sep):
+    params = {"rest_pattern": rest, "boosted_pattern": boosted, "separation": sep}
+    _, ok, _ = RECIPES["fig1"].run(params, False)
+    assert ok
+
+
 def test_bound_scan_massless_row(tmp_path):
     assert main(["run", "--recipe", "bound_scan", "--set", "count=6", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "bound_scan.csv").read_text().splitlines()
@@ -121,7 +165,6 @@ def test_failed_check_exits_one(tmp_path, capsys):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
     for sub in ("a", "b"):
         run_recipe("dispersion", {"n_sites": "16"}, tmp_path / sub)
         run_recipe("fig1", {}, tmp_path / sub)
@@ -131,8 +174,7 @@ def test_reruns_are_byte_identical(tmp_path):
             [sys.executable, "-m", "causalqca.cli", "run", "--recipe", "gates_verify",
              "--set", "mu=0.6115", "--set", "zeta=0.791244", "--set", "restarts=3",
              "--set", "n_sites=3", "--set", "seed=5", "--out", str(tmp_path / sub / "gates")],
-            check=True, capture_output=True,
-            env={**os.environ, "PYTHONPATH": path},
+            check=True, capture_output=True, env=_child_env(),
         )
     for name in ("dispersion.json", "dispersion.csv", "fig1.json",
                  "gates/gates.json", "gates/gates_verify.json"):

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalqca.lattice import Event, causally_precedes
+from causalqca.lattice import LEFT, RIGHT, Event, causally_precedes, signal_trace
 from causalqca.observers import (
+    ClockTicTac,
     ObserverSpec,
     Window,
     boost_map,
@@ -23,6 +24,27 @@ REST = ObserverSpec("RL")
 patterns = st.text(alphabet="RL", min_size=2, max_size=8).filter(
     lambda p: "R" in p and "L" in p
 )
+coords = st.integers(min_value=-10_000, max_value=10_000)
+
+
+def _first_at_least(f, target: int) -> int:
+    """Smallest integer n with f(n) >= target, for f non-decreasing, unbounded."""
+    lo = 0
+    step = 1
+    while f(lo) >= target:
+        lo -= step
+        step *= 2
+    hi = lo + step
+    while f(hi) < target:
+        hi += step
+        step *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if f(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def test_observer_event_at_examples():
@@ -46,6 +68,13 @@ def test_chain_steps_and_periodicity(pattern, n):
     assert (after.u - here.u, after.v - here.v) in ((1, 0), (0, 1))
     shifted = spec.event_at(n + spec.period)
     assert (shifted.u - here.u, shifted.v - here.v) == (spec.n_right, spec.n_left)
+
+
+@given(patterns, coords, coords, coords)
+def test_closed_form_indices_match_the_search(pattern, u0, v0, target):
+    spec = ObserverSpec(pattern, Event(u0, v0))
+    assert spec.first_u_at_least(target) == _first_at_least(spec.u_at, target)
+    assert spec.first_v_at_least(target) == _first_at_least(spec.v_at, target)
 
 
 def test_radar_examples():
@@ -209,12 +238,49 @@ def test_einstein_clock_counts():
 def test_einstein_clock_scales_with_separation():
     assert einstein_clock(REST, 2).event_count == 16
     assert einstein_clock(REST, 3).event_count == 24
+    # the two ends of the count bound: 4*P*sep and 4*P*sep - 2*(P - 1)
+    assert einstein_clock(ObserverSpec("LR"), 1).event_count == 6
+    assert einstein_clock(ObserverSpec("LLLR"), 1).event_count == 10
+
+
+def _on_chain(spec: ObserverSpec, e: Event) -> bool:
+    return spec.event_at(e.t - spec.origin.t) == e
+
+
+@settings(max_examples=60)
+@given(patterns, st.integers(-50, 50), st.integers(-50, 50), st.integers(1, 50))
+def test_einstein_clock_follows_a_light_ray(pattern, u0, v0, sep):
+    # brute force: step a ray right to the far mirror, then left back
+    spec = ObserverSpec(pattern, Event(u0, v0))
+    du, dv = spec.leaf_step()
+    far = spec.translated(sep * du, sep * dv)
+    reach = 2 * sep * spec.period + spec.period
+    reflection = next(e for e in signal_trace(spec.origin, RIGHT, reach) if _on_chain(far, e))
+    back = next(e for e in signal_trace(reflection, LEFT, reach) if _on_chain(spec, e))
+    m = back.t - spec.origin.t
+    assert einstein_clock(spec, sep) == ClockTicTac(2 * (m + 1), sep, sep * spec.period)
+
+
+@given(patterns, st.integers(1, 50))
+def test_einstein_clock_count_bound(pattern, sep):
+    # the round trip across sep leaf steps, give or take a period at each end
+    spec = ObserverSpec(pattern)
+    count = einstein_clock(spec, sep).event_count
+    full = 4 * spec.period * sep
+    assert count % 2 == 0 and full - 2 * (spec.period - 1) <= count <= full
 
 
 def test_coarse_grain_composition():
     window = Window.centered(4, 4)
     mapping = boost_map(REST, REST, window, scale_a=1.0, scale_b=0.25)
     assert np.array_equal(mapping[:, 2:], 0.25 * mapping[:, :2])
-    for scales in ((0.0, 1.0), (1.0, 0.0)):
-        with pytest.raises(ValueError):
+    for scales in ((0.0, 1.0), (1.0, 0.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite and positive"):
             boost_map(REST, REST, window, *scales)
+
+
+def test_fit_lorentz_rejects_non_finite_mappings():
+    mapping = boost_map(REST, REST, Window.centered(4, 4), scale_a=1.0, scale_b=1e308)
+    assert not np.isfinite(mapping).all()  # the chart overflowed
+    with pytest.raises(ValueError, match="finite"):
+        fit_lorentz(mapping)
