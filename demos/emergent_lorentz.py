@@ -10,8 +10,9 @@ emergent_lorentz.svg next to this script.
 import math
 from pathlib import Path
 
-from causalqca import (
-    Event,
+from causalqca.diagrams import spacetime_svg
+from causalqca.lattice import Event
+from causalqca.observers import (
     ObserverSpec,
     Window,
     boost_map,
@@ -21,7 +22,6 @@ from causalqca import (
     foliation_leaf,
     radar_coordinates,
 )
-from causalqca.diagrams import spacetime_svg
 
 rest = ObserverSpec("RL")
 boosted = ObserverSpec("RRRL")  # three right steps per left step: drift 1/2

@@ -33,6 +33,8 @@ from scipy import sparse
 from scipy.linalg import expm, logm
 from scipy.optimize import least_squares
 
+from .walk import dirac_form
+
 PLUS = "+"
 MINUS = "-"
 
@@ -297,15 +299,6 @@ def _jacobian(x: np.ndarray, momenta: np.ndarray, target: np.ndarray) -> np.ndar
     return _split(_anti_hermitian(np.concatenate([dt_a, dt_b]))).T
 
 
-def _combination_target(zeta: float, mu: float, momenta: np.ndarray) -> np.ndarray:
-    target = np.zeros((len(momenta), 2, 2), dtype=complex)
-    target[:, 0, 0] = -2j * zeta * np.sin(momenta)
-    target[:, 1, 1] = 2j * zeta * np.sin(momenta)
-    target[:, 0, 1] = -2j * mu
-    target[:, 1, 0] = -2j * mu
-    return target
-
-
 _TOL = 1e-8  # largest combination defect of a feasible pair
 _FLOOR = 1e-4  # smallest defect of every restart in an infeasibility certificate
 _MOMENTA = 2.0 * np.pi * np.fft.fftfreq(16)  # the lattice momenta the defect is taken over
@@ -326,7 +319,7 @@ class GateSolution(NamedTuple):
 def _optimize_combination(
     zeta: float, mu: float, starts: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float, list[float]]:
-    target = _combination_target(zeta, mu, _MOMENTA)
+    target = -2j * dirac_form(zeta, mu, _MOMENTA)  # T - T^dag = W^dag - W
     best_x, best, finals = None, math.inf, []
     for x0 in starts:
         fit = least_squares(

@@ -101,17 +101,26 @@ def evolve(state: np.ndarray, params: WalkParams, steps: int) -> np.ndarray:
     return state
 
 
+def dirac_form(zeta: float, mu: float, momenta: np.ndarray) -> np.ndarray:
+    """The Dirac form A(p) = zeta sin(p) sigma_z + mu sigma_x, shape (len(p), 2, 2).
+
+    The step block is W(p) = cos E + i A(p), so W(p) - W(p)^dagger = 2i A(p)
+    (Bisio, D'Ariano and Tosini, arXiv:1212.2839).
+    """
+    return (zeta * np.sin(momenta))[:, None, None] * _SIGMA_Z + mu * _SIGMA_X
+
+
 def momentum_blocks(params: WalkParams, power: int = 1) -> np.ndarray:
     """W(p)**power for every lattice momentum, shape (n_sites, 2, 2).
 
-    Uses the closed form W**k = cos(kE) I + i sin(kE) (A/sin E) with
-    A(p) = zeta sin(p) sigma_z + mu sigma_x, valid for any integer power.
+    Uses the closed form W**k = cos(kE) I + i sin(kE) (A/sin E) with A the
+    :func:`dirac_form`, valid for any integer power.
     """
     p = params.momenta()
     cos_e = params.zeta * np.cos(p)
     sin_e = np.sqrt(np.maximum(0.0, 1.0 - cos_e**2))
     angle = power * np.arccos(np.clip(cos_e, -1.0, 1.0))
-    a = (params.zeta * np.sin(p))[:, None, None] * _SIGMA_Z + params.mu * _SIGMA_X
+    a = dirac_form(params.zeta, params.mu, p)
     eye = np.eye(2, dtype=complex)
     safe = np.where(sin_e > 1e-300, sin_e, 1.0)
     unit = a / safe[:, None, None]
@@ -128,18 +137,6 @@ def evolve_fourier(state: np.ndarray, params: WalkParams, steps: int) -> np.ndar
     phi = np.fft.ifft(state, axis=0, norm="ortho")
     phi = np.einsum("pij,pj->pi", momentum_blocks(params, steps), phi)
     return np.fft.fft(phi, axis=0, norm="ortho")
-
-
-def step_matrix(params: WalkParams) -> np.ndarray:
-    """Dense 2N x 2N matrix of the step on site-major flattened states."""
-    n = params.n_sites
-    w = np.zeros((2 * n, 2 * n), dtype=complex)
-    for m in range(n):
-        w[2 * m, 2 * ((m - 1) % n)] = params.zeta  # plus from the left neighbour
-        w[2 * m, 2 * m + 1] = 1j * params.mu
-        w[2 * m + 1, 2 * m] = 1j * params.mu
-        w[2 * m + 1, 2 * ((m + 1) % n) + 1] = params.zeta  # minus from the right
-    return w
 
 
 class DispersionTable(NamedTuple):
@@ -296,8 +293,7 @@ def effective_hamiltonian_check(params: WalkParams, k: int) -> float:
     energy = np.arccos(np.clip(cos_e, -1.0, 1.0))
     sin_e = np.sin(energy)
     ratio = np.where(sin_e > 1e-14, np.sin(k * energy) / (k * np.where(sin_e > 1e-14, sin_e, 1.0)), 1.0)
-    a = (params.zeta * np.sin(p))[:, None, None] * _SIGMA_Z + params.mu * _SIGMA_X
-    target = ratio[:, None, None] * a
+    target = ratio[:, None, None] * dirac_form(params.zeta, params.mu, p)
     return float(np.max(np.abs(generator - target)))
 
 

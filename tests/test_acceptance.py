@@ -44,7 +44,7 @@ from causalqca.walk import (
     evolve,
     generator_small_limit_slope,
     random_state,
-    step_matrix,
+    step,
     zitter_frequency,
 )
 
@@ -122,7 +122,8 @@ def test_criterion_3_foliation_achronality():
 
 def test_criterion_4_walk_unitarity_and_causality():
     start = time.perf_counter()
-    w = step_matrix(WalkParams(64, 0.6))
+    basis = np.eye(128, dtype=complex).reshape(128, 64, 2)  # the step applied to each basis state
+    w = np.stack([step(e, WalkParams(64, 0.6)).reshape(-1) for e in basis], axis=1)
     unitarity = float(np.max(np.abs(w.conj().T @ w - np.eye(128))))
 
     params = WalkParams(1024, 0.6)

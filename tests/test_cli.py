@@ -75,6 +75,16 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
+def test_numpy_only_modules_do_not_import_scipy():
+    # gates imports walk, never the reverse: the numpy-only layers start without scipy
+    code = ("import sys; import causalqca.walk, causalqca.observers, causalqca.lattice, "
+            "causalqca.units, causalqca.diagrams; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                          text=True, env=_child_env())
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("recipe, setting, message", [
     ("gates_verify", "restarts=-1", "restarts must be at least 0, got -1"),
     ("zitter", "steps=0", "steps must be at least 2, got 0"),
@@ -143,6 +153,13 @@ def test_fig1_check_holds_for_every_clock(rest, boosted, sep):
     params = {"rest_pattern": rest, "boosted_pattern": boosted, "separation": sep}
     _, ok, _ = RECIPES["fig1"].run(params, False)
     assert ok
+
+
+@pytest.mark.parametrize("coarse", ["0.25", "0.75", "1", "2"])
+def test_lorentz_fit_passes_at_any_coarse_graining(coarse, tmp_path):
+    # the fit residual is in chart units, which scale with coarse
+    assert main(["run", "--recipe", "lorentz_fit", "--set", f"coarse={coarse}",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_bound_scan_massless_row(tmp_path):

@@ -7,7 +7,6 @@ from causalqca import gates
 from causalqca.gates import (
     SWAP2,
     FockRep,
-    _combination_target,
     _jacobian,
     _residual,
     canonical_gates,
@@ -22,6 +21,7 @@ from causalqca.gates import (
     solve_gates,
     tile_gates,
 )
+from causalqca.walk import dirac_form
 
 
 def test_mode_ordering():
@@ -186,7 +186,7 @@ def test_achieved_zeta_matches_the_real_space_transfer(zeta, mu):
 
 def test_analytic_jacobian_matches_central_differences():
     momenta = 2.0 * np.pi * np.fft.fftfreq(16)
-    target = _combination_target(0.7, 0.5, momenta)
+    target = -2j * dirac_form(0.7, 0.5, momenta)
     points = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(20, 8))
     # theta of A and of B at the edges of the chart: pure phase and pure swap
     points[0, [1, 5]] = 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalqca.gates import canonical_gates, compose_row, tile_gates
 from causalqca.walk import (
     WalkParams,
     delta_state,
@@ -19,7 +20,6 @@ from causalqca.walk import (
     momentum_blocks,
     random_state,
     step,
-    step_matrix,
     zitter_frequency,
 )
 
@@ -76,11 +76,25 @@ def test_step_matches_dense_oracle(n_sites):
     assert np.max(np.abs(step(psi, params) - _reference_step(psi, params))) < 1e-15
 
 
+def _dense_step(params):
+    # column k is the walk step applied to the k-th site-major basis state
+    basis = np.eye(2 * params.n_sites, dtype=complex).reshape(-1, params.n_sites, 2)
+    return np.stack([step(e, params).reshape(-1) for e in basis], axis=1)
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 1.0])
 def test_step_matrix_unitary(mu):
-    params = WalkParams(64, mu)
-    w = step_matrix(params)
+    w = _dense_step(WalkParams(64, mu))
     assert np.max(np.abs(w.conj().T @ w - np.eye(128))) < 1e-12
+
+
+@pytest.mark.parametrize("n_sites", [4, 8])
+@pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 1.0])
+def test_step_is_the_gate_circuit(n_sites, mu):
+    # the walk is the tiled (A, B) circuit read as a state map: W = T^dag, bit for bit
+    params = WalkParams(n_sites, mu)
+    t = compose_row(tile_gates(*canonical_gates(params.zeta, mu), n_sites), n_sites)
+    assert np.array_equal(_dense_step(params), t.conj().T)
 
 
 @given(st.integers(min_value=0, max_value=1000))
