@@ -18,7 +18,9 @@ and row normalization of the unitary T bounds the flow speed by
 
 Everything is cross-checked against an exact Fock representation on short
 chains: mode operators are built as strings of Pauli z factors ending in a
-lowering operator, gates become quadratic exponentials, and vacuum
+lowering operator, and a gate with generator h = V diag(d) V^dag becomes the
+sparse product ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal
+modes b_k, since those number operators are commuting projectors.  Vacuum
 invariance, anticommutation and gate locality are verified brute force.
 """
 
@@ -69,7 +71,7 @@ class FockRep:
 
     def __init__(self, n_sites: int):
         if not 1 <= n_sites <= 5:
-            raise ValueError("FockRep supports 1 <= n_sites <= 5")
+            raise ValueError(f"n_sites must lie in [1, 5], got {n_sites}")
         self.n_sites = n_sites
         self.n_modes = 2 * n_sites
         self.dim = 2**self.n_modes
@@ -430,22 +432,31 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
 # Fock-space oracle
 
 
-def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> np.ndarray:
-    """Exact Fock-space unitary of one gate on ``rep``'s chain, via its quadratic generator.
+def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> sparse.csr_matrix:
+    """Exact Fock-space unitary of one gate on ``rep``'s chain, as a sparse matrix.
 
     With T the gate's single-particle block, G = exp(1j * phi^dag h phi) with
     h = 1j log T conjugates the pair's mode operators exactly by T and leaves
-    the vacuum strictly invariant.
+    the vacuum strictly invariant.  Diagonalizing h = V diag(d) V^dag gives
+    normal modes b_k = conj(V[0, k]) phi_i + conj(V[1, k]) phi_j whose number
+    operators are commuting projectors, so G = prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)
+    with no series.
     """
     i, j = gate.mode_pair(rep.n_sites, periodic=False)
+    d, v = np.linalg.eigh(1j * logm(gate.matrix()))
+    eye = sparse.identity(rep.dim, dtype=complex, format="csr")
+    out = eye
+    for k in range(2):
+        b = np.conj(v[0, k]) * rep.modes[i] + np.conj(v[1, k]) * rep.modes[j]
+        out = out @ (eye + (np.exp(1j * d[k]) - 1.0) * (b.getH() @ b))
+    return out
+
+
+def _lone_gate_series(gate: GateSpec) -> np.ndarray:
+    """The gate on one site's two wires by the series exp(1j * phi^dag h phi), 4x4."""
     h = 1j * logm(gate.matrix())
-    ops = [rep.modes[i], rep.modes[j]]
-    quad = sparse.csr_matrix((rep.dim, rep.dim), dtype=complex)
-    for r in range(2):
-        for c in range(2):
-            if h[r, c] != 0:
-                quad = quad + h[r, c] * (ops[r].getH() @ ops[c])
-    return expm(1j * quad.toarray())
+    ops = [m.toarray() for m in FockRep(1).modes]
+    return expm(1j * sum(h[r, c] * ops[r].conj().T @ ops[c] for r in range(2) for c in range(2)))
 
 
 class FockCheck(NamedTuple):
@@ -462,33 +473,30 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
     Checks that (i) conjugating every mode operator by the full step unitary
     reproduces the compose_row transfer matrix, (ii) the vacuum is invariant
     up to a reported global phase, and (iii) every gate's Fock embedding is
-    the identity outside its own two wires.  Gate blocks must be unitary
+    the identity outside its own two wires and, on them, the series
+    exponential of its quadratic form.  Gate blocks must be unitary
     (particle-conserving by construction); chains are open so no gate wraps.
     """
-    if n_sites > 4:
-        raise ValueError("fock_consistency supports n_sites <= 4")
     gates = list(gates)
     rep = FockRep(n_sites)
-    lone = FockRep(1)  # one site: the gate's two wires and nothing else
-    u = np.eye(rep.dim, dtype=complex)
+    u = sparse.identity(rep.dim, dtype=complex, format="csr")
     locality_dev = 0.0
     for g in sorted(gates, key=lambda gate: gate.kind != "B"):  # B row applied first
         full = fock_gate_matrix(g, rep)
         u = full @ u
         i, _ = g.mode_pair(n_sites, periodic=False)  # open chain: wires i, i + 1
-        local = fock_gate_matrix(gate_spec("B", 0, g.matrix()), lone)
-        expected = np.kron(
-            np.eye(2**i), np.kron(local, np.eye(2 ** (rep.n_modes - i - 2)))
+        expected = sparse.kron(
+            sparse.kron(sparse.identity(2**i), _lone_gate_series(g)),
+            sparse.identity(2 ** (rep.n_modes - i - 2)),
         )
-        locality_dev = max(locality_dev, float(np.max(np.abs(full - expected))))
+        locality_dev = max(locality_dev, _sparse_max_abs(full - expected))
     t_ref = compose_row(gates, n_sites, periodic=False)
 
     transfer_dev = 0.0
-    u_dag = u.conj().T
+    u_dag = u.getH()
     for i in range(rep.n_modes):
-        conjugated = u @ rep.modes[i].toarray() @ u_dag
-        linear = sum(t_ref[i, j] * rep.modes[j].toarray() for j in range(rep.n_modes))
-        transfer_dev = max(transfer_dev, float(np.max(np.abs(conjugated - linear))))
+        linear = sum(t_ref[i, j] * rep.modes[j] for j in range(rep.n_modes))
+        transfer_dev = max(transfer_dev, _sparse_max_abs(u @ rep.modes[i] @ u_dag - linear))
 
     evolved = u @ rep.vacuum
     phase = complex(np.vdot(rep.vacuum, evolved))

@@ -199,6 +199,16 @@ def test_criterion_7_refraction_bound_scan():
     )
 
 
+def _random_gates(rng: np.random.Generator, n_sites: int) -> list:
+    """Random U(2) blocks on every B then every A tile of an open chain."""
+    gates = []
+    for kind, count in (("B", n_sites), ("A", n_sites - 1)):
+        for site in range(count):
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            gates.append(gate_spec(kind, site, q))
+    return gates
+
+
 def test_criterion_8_fock_oracle_agreement():
     start = time.perf_counter()
     anticommutation = FockRep(4).anticommutation_defect()
@@ -206,15 +216,7 @@ def test_criterion_8_fock_oracle_agreement():
     tiles = tile_gates(*canonical_gates(0.8, 0.6), 4, periodic=False)
     solved = fock_consistency(tiles, 4)
 
-    rng = np.random.default_rng(42)
-    gates = []
-    for site in range(4):
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        gates.append(gate_spec("B", site, q))
-    for site in range(3):
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        gates.append(gate_spec("A", site, q))
-    random_check = fock_consistency(gates, 4)
+    random_check = fock_consistency(_random_gates(np.random.default_rng(42), 4), 4)
 
     elapsed = time.perf_counter() - start
     ok = (
@@ -235,6 +237,21 @@ def test_criterion_8_fock_oracle_agreement():
         f"{solved.locality_deviation:.1e} ({elapsed:.2f}s)",
         ok,
     )
+
+
+@pytest.mark.parametrize("seed", [None, 42, 7])
+def test_fock_oracle_at_five_sites(seed):
+    # criterion 8's checks on the longest chain the oracle accepts, dim 1024;
+    # seed None is the canonical pair
+    if seed is None:
+        gates = tile_gates(*canonical_gates(0.8, 0.6), 5, periodic=False)
+    else:
+        gates = _random_gates(np.random.default_rng(seed), 5)
+    check = fock_consistency(gates, 5)
+    assert check.transfer_deviation <= 1e-10
+    assert check.vacuum_deviation <= 1e-12
+    assert abs(abs(check.vacuum_phase) - 1.0) <= 1e-12
+    assert check.locality_deviation <= 1e-12
 
 
 def test_criterion_9_units():

@@ -98,6 +98,8 @@ def test_numpy_only_modules_do_not_import_scipy():
     ("bound_scan", "mu_max=inf", "mu_max must lie in [0, 1], got inf"),
     ("bound_scan", "mu_min=-0.5", "mu_min must lie in [0, 1], got -0.5"),
     ("gates_verify", "zeta=inf", "zeta must be finite and positive, got inf"),
+    ("gates_verify", "n_sites=0", "n_sites must lie in [1, 5], got 0"),
+    ("gates_verify", "n_sites=6", "n_sites must lie in [1, 5], got 6"),
     ("lorentz_fit", "coarse=inf", "scales must be finite and positive, got inf and inf"),
     ("lorentz_fit", "coarse=1e308", "mapping must be finite"),
 ])
@@ -117,6 +119,11 @@ def test_rejected_value_is_usage_error(recipe, setting, message, tmp_path, capsy
     assert message in err
     assert "Warning" not in err
     assert not out.exists()
+
+
+def test_gates_verify_reaches_five_sites(tmp_path):
+    # the largest chain the Fock oracle accepts
+    assert main(["run", "--recipe", "gates_verify", "--set", "n_sites=5", "--out", str(tmp_path)]) == 0
 
 
 def test_key_error_inside_a_recipe_is_not_a_usage_error(tmp_path, monkeypatch):

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
+from scipy.linalg import expm, logm
 
 from causalqca import gates
 from causalqca.gates import (
@@ -9,6 +12,7 @@ from causalqca.gates import (
     FockRep,
     _jacobian,
     _residual,
+    _u2,
     canonical_gates,
     check_fb_combination,
     compose_row,
@@ -270,6 +274,54 @@ def test_fock_oracle_validates_random_gates():
         gates.append(gate_spec("A", site, q))
     chk = fock_consistency(gates, 4)
     assert chk.max_deviation <= 1e-10
+
+
+# edge cases of the product formula: T with a repeated eigenvalue (the normal
+# modes of h are then any basis), with an eigenvalue -1 (on the branch cut of
+# logm), or with only imaginary entries
+DEGENERATE_PAIRS = {
+    "identity": (np.eye(2), np.eye(2)),
+    "minus identity": (-np.eye(2), -np.eye(2)),
+    "swap": (SWAP2, SWAP2),
+    "minus swap": (-SWAP2, -SWAP2),
+    "diag(1j, -1)": (np.diag([1j, -1.0]), np.diag([1j, -1.0])),
+    "i swap": (1j * SWAP2, 1j * SWAP2),
+    "canonical mu=0": tuple(g.matrix() for g in canonical_gates(1.0, 0.0)),
+    "canonical mu=1": tuple(g.matrix() for g in canonical_gates(0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", DEGENERATE_PAIRS)
+def test_fock_gate_product_matches_series_on_degenerate_gates(name):
+    lone = FockRep(1)
+    ops = [m.toarray() for m in lone.modes]
+    for block in DEGENERATE_PAIRS[name]:
+        h = 1j * logm(block)
+        series = expm(1j * sum(h[r, c] * ops[r].conj().T @ ops[c] for r in range(2) for c in range(2)))
+        product = fock_gate_matrix(gate_spec("B", 0, block), lone).toarray()
+        assert np.max(np.abs(product - series)) <= 1e-14
+
+
+@pytest.mark.parametrize("name", DEGENERATE_PAIRS)
+def test_fock_oracle_validates_degenerate_gates(name):
+    a, b = DEGENERATE_PAIRS[name]
+    tiles = tile_gates(gate_spec("A", 0, a), gate_spec("B", 0, b), 3, periodic=False)
+    assert fock_consistency(tiles, 3).max_deviation <= 1e-12
+
+
+u2_params = st.lists(st.floats(-math.pi, math.pi), min_size=4, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.lists(u2_params, min_size=5, max_size=5))
+def test_fock_step_conserves_particle_number(n_sites, blocks):
+    rep = FockRep(n_sites)
+    tiles = [("B", s) for s in range(n_sites)] + [("A", s) for s in range(n_sites - 1)]
+    step = sparse.identity(rep.dim, dtype=complex, format="csr")
+    for (kind, site), params in zip(tiles, blocks):  # B row applied first
+        step = fock_gate_matrix(gate_spec(kind, site, _u2(np.array(params))), rep) @ step
+    number = sum(a.getH() @ a for a in rep.modes)
+    assert np.max(np.abs((step @ number - number @ step).toarray())) <= 1e-13
 
 
 def test_gate_locality_of_single_gate():
