@@ -36,7 +36,7 @@ for e in (Event.from_tx(0, 4), Event.from_tx(0, -4), Event.from_tx(4, 2)):
     rc = radar_coordinates(rest, e)
     print(
         f"event (t={e.t:+d}, x={e.x:+d}): emitted at chain index {rc.emission}, "
-        f"received at {rc.reception} -> t_obs={rc.t_obs}, x_obs={rc.x_obs}"
+        f"received at {rc.reception} -> t_obs={rc.t_obs:g}, x_obs={rc.x_obs:g}"
     )
 
 print("\n== simultaneity leaves ==")
@@ -61,7 +61,7 @@ mapping = boost_map(
     scale_a=default_scale(rest) * 0.5, scale_b=default_scale(boosted) * 0.5,
 )
 fit = fit_lorentz(mapping)
-print(f"fitted beta  = {fit.beta:+.4f}   (kinematic drift: {float(boosted.drift):+.4f})")
+print(f"fitted beta  = {fit.beta:+.4f}   (kinematic drift: {boosted.drift:+.4f})")
 print(f"fitted gamma = {fit.gamma:.4f}   (1/sqrt(1-beta^2): {1 / math.sqrt(1 - fit.beta**2):.4f})")
 print(f"largest residual {fit.max_residual:.3f} chart events, determinant {fit.determinant:.4f}")
 

@@ -16,14 +16,14 @@ causal past of e; the reception index is the first chain event in its causal
 future.  Both lie on the lightlike rays through e, so this is the ordinary
 two-way radar protocol.  The tight bracket makes chain events exact fixed
 points (x_obs = 0), makes radar time strictly monotone along every causal
-chain (so leaves are provably achronal), and is exact integer arithmetic.
+chain (so leaves are provably achronal), and is integer arithmetic: t_obs and
+x_obs are half-integers, which floats hold exactly for indices below 2**52.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, NamedTuple
 
@@ -58,9 +58,9 @@ class ObserverSpec:
         return self.pattern.count("L")
 
     @property
-    def drift(self) -> Fraction:
+    def drift(self) -> float:
         """Mean velocity (x per t) of the chain through the lattice."""
-        return Fraction(self.n_right - self.n_left, self.period)
+        return (self.n_right - self.n_left) / self.period
 
     @property
     def time_dilation(self) -> float:
@@ -68,9 +68,9 @@ class ObserverSpec:
         return self.period / (2.0 * math.sqrt(self.n_right * self.n_left))
 
     @property
-    def doppler_squared(self) -> Fraction:
+    def doppler_squared(self) -> float:
         """Squared lightcone scaling factor between this chain and a rest chain."""
-        return Fraction(self.n_right, self.n_left)
+        return self.n_right / self.n_left
 
     @cached_property
     def _prefix_right(self) -> tuple[int, ...]:
@@ -115,8 +115,8 @@ class ObserverSpec:
 
 
 class RadarCoordinate(NamedTuple):
-    t_obs: Fraction
-    x_obs: Fraction
+    t_obs: float
+    x_obs: float
 
     @property
     def emission(self) -> int:
@@ -137,18 +137,12 @@ def radar_coordinates(spec: ObserverSpec, e: Event) -> RadarCoordinate:
     """
     last_u = spec.first_u_at_least(e.u + 1) - 1  # last index with u <= e.u
     last_v = spec.first_v_at_least(e.v + 1) - 1
-    first_u = spec.first_u_at_least(e.u)
-    first_v = spec.first_v_at_least(e.v)
     t1 = min(last_u, last_v)
-    t2 = max(first_u, first_v)
-
-    t_obs = Fraction(t1 + t2, 2)
-    half_gap = Fraction(t2 - t1, 2)
-    if half_gap == 0:
-        return RadarCoordinate(t_obs, Fraction(0))
-    # the emission event sits on the right-moving past ray iff the v side binds
-    sign = 1 if last_v < last_u else -1
-    return RadarCoordinate(t_obs, sign * half_gap)
+    t2 = max(spec.first_u_at_least(e.u), spec.first_v_at_least(e.v))
+    # the emission event sits on the right-moving past ray iff the v side
+    # binds; a chain event has gap 0, and int 0 / 2 is +0.0, never -0.0
+    gap = t2 - t1 if last_v < last_u else t1 - t2
+    return RadarCoordinate((t1 + t2) / 2, gap / 2)
 
 
 class Window(NamedTuple):
@@ -172,7 +166,7 @@ class Window(NamedTuple):
 
 @dataclass(frozen=True)
 class FoliationLeaf:
-    t_obs: Fraction
+    t_obs: float
     events: tuple[Event, ...]
 
     def is_achronal(self) -> bool:
@@ -185,11 +179,8 @@ class FoliationLeaf:
 
 def foliation_leaf(spec: ObserverSpec, t_obs, window: Window) -> FoliationLeaf:
     """All window events whose radar time equals ``t_obs`` (may be empty)."""
-    target = Fraction(t_obs)
-    hits = tuple(
-        e for e in window.events() if radar_coordinates(spec, e).t_obs == target
-    )
-    return FoliationLeaf(target, hits)
+    hits = tuple(e for e in window.events() if radar_coordinates(spec, e).t_obs == t_obs)
+    return FoliationLeaf(t_obs, hits)
 
 
 def default_scale(spec: ObserverSpec) -> float:
@@ -217,8 +208,8 @@ def boost_map(
     rows = []
     for e in window.events():
         ra, rb = radar_coordinates(spec_a, e), radar_coordinates(spec_b, e)
-        rows.append((float(ra.t_obs) * scale_a, float(ra.x_obs) * scale_a,
-                     float(rb.t_obs) * scale_b, float(rb.x_obs) * scale_b))
+        rows.append((ra.t_obs * scale_a, ra.x_obs * scale_a,
+                     rb.t_obs * scale_b, rb.x_obs * scale_b))
     return np.asarray(rows, dtype=float)
 
 

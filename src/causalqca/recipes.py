@@ -148,9 +148,9 @@ def _fig1(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
         "boosted_sep": boosted_clock.separation_leaf_events,
         "rest_pattern": rest.pattern,
         "boosted_pattern": boosted.pattern,
-        "boosted_drift": float(boosted.drift),
+        "boosted_drift": boosted.drift,
         "boosted_time_dilation": boosted.time_dilation,
-        "boosted_doppler_squared": float(boosted.doppler_squared),
+        "boosted_doppler_squared": boosted.doppler_squared,
         "ticktac_ratio": boosted_clock.event_count / rest_clock.event_count,
     }
     ok = _clock_ok(rest_clock, rest.period, sep) and _clock_ok(boosted_clock, boosted.period, sep)
@@ -188,7 +188,7 @@ def _lorentz_fit(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
         scale_b=default_scale(spec_b) * coarse,
     )
     fit = fit_lorentz(mapping)
-    beta_pred = velocity_addition(float(-spec_a.drift), float(spec_b.drift))
+    beta_pred = velocity_addition(-spec_a.drift, spec_b.drift)
     gamma_of_fit = 1.0 / math.sqrt(1.0 - fit.beta**2)
     summary = {
         "beta_hat": fit.beta,
@@ -294,12 +294,12 @@ def _bound_scan(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
 
 
 def _gates_verify(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
+    rep = gates_mod.FockRep(params["n_sites"])  # rejects n_sites before the solve
     solution = gates_mod.solve_gates(
         params["zeta"], params["mu"], restarts=params["restarts"], seed=params["seed"]
     )
     tiles = gates_mod.tile_gates(solution.gate_a, solution.gate_b, params["n_sites"], periodic=False)
     fock = gates_mod.fock_consistency(tiles, params["n_sites"])
-    rep = gates_mod.FockRep(params["n_sites"])
     summary = {
         "feasible": solution.status == "feasible",
         "status": solution.status,

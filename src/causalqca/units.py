@@ -79,10 +79,10 @@ def compton_from_omega(omega: float, units: PhysicalUnits) -> float:
 def load_constants(path: str | Path | None = None) -> PhysicalUnits:
     """Build units from a key=value text file.
 
-    Recognised keys: ``hbar``, ``c``, ``topon_a``, ``chronon_tau``.  When only
-    ``c`` is given the topon/chronon pair defaults to (c, 1); only the ratio
-    enters any conversion.  ``None`` yields CODATA defaults; a missing file
-    raises ``FileNotFoundError``.
+    Recognised keys, each given at most once: ``hbar``, ``c``, ``topon_a``,
+    ``chronon_tau``.  ``c`` sets the topon/chronon pair to (c, 1), so it
+    conflicts with both; only the ratio enters any conversion.  ``None``
+    yields CODATA defaults; a missing file raises ``FileNotFoundError``.
     """
     values: dict[str, float] = {}
     if path is not None:
@@ -97,15 +97,17 @@ def load_constants(path: str | Path | None = None) -> PhysicalUnits:
             key = key.strip()
             if key not in {"hbar", "c", "topon_a", "chronon_tau"}:
                 raise ValueError(f"{path}:{lineno}: unknown constant {key!r}")
+            if key in values:
+                raise ValueError(f"{path}:{lineno}: {key} is given twice")
+            given = values.keys() | {key}
+            if "c" in given and given & {"topon_a", "chronon_tau"}:
+                earlier = ", ".join(sorted(values.keys() - {"hbar"}))
+                raise ValueError(f"{path}:{lineno}: {key} conflicts with {earlier}: c sets topon_a/chronon_tau")
             try:
                 values[key] = float(value.strip())
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: {key} must be a number, got {value.strip()!r}") from None
 
-    hbar = values.get("hbar", HBAR_SI)
-    if "topon_a" in values or "chronon_tau" in values:
-        a = values.get("topon_a", C_SI)
-        tau = values.get("chronon_tau", 1.0)
-    else:
-        a, tau = values.get("c", C_SI), 1.0
-    return PhysicalUnits(topon_a=a, chronon_tau=tau, hbar=hbar)
+    return PhysicalUnits(topon_a=values.get("topon_a", values.get("c", C_SI)),
+                         chronon_tau=values.get("chronon_tau", 1.0),
+                         hbar=values.get("hbar", HBAR_SI))

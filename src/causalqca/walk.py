@@ -239,14 +239,16 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
         raise ValueError(f"p0 must be finite, got {p0}")
     if steps < 2:  # the linear detrend needs two samples
         raise ValueError(f"steps must be at least 2, got {steps}")
+    if not width > 0:  # before the reach estimate and the packet, which divide by it
+        raise ValueError(f"width must be positive, got {width}")
     expected_gap = 2.0 * math.acos(np.clip(params.zeta * math.cos(p0), -1.0, 1.0))
     if params.mu > 0.0 and steps * expected_gap < 4.0 * math.pi:
         raise ValueError(
             f"steps={steps} resolves frequencies only down to {2 * math.pi / steps:.3g} rad/step; "
             f"need at least {math.ceil(4 * math.pi / expected_gap)} steps for this packet"
         )
-    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))  # rejects width <= 0 and nan
     _check_packet_stays_on_ring(params, p0, width, steps)
+    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))
     center = params.n_sites // 2
     positions = np.arange(params.n_sites) - center
     blocks = momentum_blocks(params, 1)

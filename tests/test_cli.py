@@ -126,6 +126,15 @@ def test_gates_verify_reaches_five_sites(tmp_path):
     assert main(["run", "--recipe", "gates_verify", "--set", "n_sites=5", "--out", str(tmp_path)]) == 0
 
 
+def test_gates_verify_rejects_n_sites_before_solving(tmp_path, monkeypatch, capsys):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_gates ran before n_sites was checked")
+
+    monkeypatch.setattr("causalqca.recipes.gates_mod.solve_gates", unreachable)
+    assert main(["run", "--recipe", "gates_verify", "--set", "n_sites=0", "--out", str(tmp_path)]) == 2
+    assert "n_sites must lie in [1, 5], got 0" in capsys.readouterr().err
+
+
 def test_key_error_inside_a_recipe_is_not_a_usage_error(tmp_path, monkeypatch):
     def broken(params, svg):
         return {}["missing"]
@@ -223,3 +232,12 @@ def test_constants_file_override(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "out" / "units_table.json").read_text())
     assert payload["summary"]["c"] == 1.0
     assert payload["ok"] is False
+
+
+def test_conflicting_constants_file_is_usage_error(tmp_path, monkeypatch, capsys):
+    constants = tmp_path / "clash.txt"
+    constants.write_text("c=1\ntopon_a=2\n")
+    monkeypatch.setenv(CONSTANTS_ENV, str(constants))
+    assert main(["run", "--recipe", "units_table", "--out", str(tmp_path / "out")]) == 2
+    assert f"{constants}:2: topon_a conflicts with c" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

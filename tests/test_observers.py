@@ -25,6 +25,7 @@ patterns = st.text(alphabet="RL", min_size=2, max_size=8).filter(
     lambda p: "R" in p and "L" in p
 )
 coords = st.integers(min_value=-10_000, max_value=10_000)
+origins = st.builds(Event, st.integers(-50, 50), st.integers(-50, 50))
 
 
 def _first_at_least(f, target: int) -> int:
@@ -100,9 +101,9 @@ def test_self_radar(pattern, n):
 @given(patterns, st.integers(min_value=-12, max_value=12), st.integers(min_value=-12, max_value=12))
 def test_radar_indices_are_integers(pattern, u, v):
     rc = radar_coordinates(ObserverSpec(pattern), Event(u, v))
-    assert (rc.t_obs - rc.x_obs).denominator in (1, 2)
-    assert float(rc.emission) == float(rc.t_obs - abs(rc.x_obs))
-    assert (2 * rc.t_obs).denominator == 1  # half-integer grid
+    assert (2 * rc.t_obs).is_integer()  # half-integer grid
+    assert rc.emission == rc.t_obs - abs(rc.x_obs)
+    assert rc.reception == rc.t_obs + abs(rc.x_obs)
 
 
 @settings(max_examples=40)
@@ -170,6 +171,33 @@ def test_boost_map_identity_and_translation():
     assert abs(fit.beta) < 0.02
     assert fit.offset[0] == pytest.approx(-4.0, abs=0.2)  # t shift of the new origin
     assert fit.max_residual <= 1.0
+
+
+def _radar_oracle(spec: ObserverSpec, e: Event) -> tuple[Fraction, Fraction]:
+    """Radar (t, x) from the searched bracket, in exact rationals."""
+    last_u = _first_at_least(spec.u_at, e.u + 1) - 1
+    last_v = _first_at_least(spec.v_at, e.v + 1) - 1
+    t1 = min(last_u, last_v)
+    t2 = max(_first_at_least(spec.u_at, e.u), _first_at_least(spec.v_at, e.v))
+    half_gap = Fraction(t2 - t1, 2)
+    return Fraction(t1 + t2, 2), half_gap if last_v < last_u else -half_gap
+
+
+@settings(max_examples=60)
+@given(patterns, patterns, origins, origins, st.integers(1, 5), st.integers(-20, 20),
+       st.integers(-20, 20), st.sampled_from([0.25, 0.5, 0.75, 1.0, 2.0]))
+def test_boost_map_is_bitwise_the_exact_chart(pattern_a, pattern_b, origin_a, origin_b,
+                                              radius, dt, dx, coarse):
+    # bytes, not values: np.array_equal would take -0.0 for 0.0
+    spec_a, spec_b = ObserverSpec(pattern_a, origin_a), ObserverSpec(pattern_b, origin_b)
+    window = Window((-radius + dt, radius + dt), (-radius + dx, radius + dx))
+    scale_a, scale_b = default_scale(spec_a) * coarse, default_scale(spec_b) * coarse
+    rows = []
+    for e in window.events():
+        (ta, xa), (tb, xb) = _radar_oracle(spec_a, e), _radar_oracle(spec_b, e)
+        rows.append((float(ta) * scale_a, float(xa) * scale_a, float(tb) * scale_b, float(xb) * scale_b))
+    expected = np.asarray(rows, dtype=float)
+    assert boost_map(spec_a, spec_b, window, scale_a, scale_b).tobytes() == expected.tobytes()
 
 
 def test_fit_lorentz_recovers_synthetic_boost():

@@ -116,3 +116,16 @@ def test_load_constants_names_the_bad_value(tmp_path):
         load_constants(path)
     with pytest.raises(FileNotFoundError):
         load_constants(tmp_path / "missing.txt")
+
+
+def test_load_constants_rejects_conflicting_and_repeated_keys(tmp_path):
+    path = tmp_path / "constants.txt"
+    path.write_text("c = 1\ntopon_a = 2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:2: topon_a conflicts with c")):
+        load_constants(path)
+    path.write_text("topon_a = 2\nchronon_tau = 4\nhbar = 1\nc = 1\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:4: c conflicts with chronon_tau, topon_a")):
+        load_constants(path)
+    path.write_text("hbar = 1\n# again\nhbar = 2\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: hbar is given twice")):
+        load_constants(path)

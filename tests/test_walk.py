@@ -235,6 +235,13 @@ def test_zitter_guards():
         zitter_frequency(WalkParams(128, 0.6), p0=1.2, width=8.0, steps=1024)
 
 
+@pytest.mark.parametrize("width", [1e-200, 1e-320, 0.0, -1.0, math.nan])
+def test_zitter_rejects_tiny_and_bad_widths(width):
+    # the pytest filter turns a RuntimeWarning from the packet into a failure
+    with pytest.raises(ValueError):
+        zitter_frequency(WalkParams(1024, 0.6), p0=0.0, width=width, steps=1024)
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 0.95])
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_effective_hamiltonian_closed_form(mu, k):
