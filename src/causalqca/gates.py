@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm, logm
+from scipy.linalg import expm, logm, schur
 from scipy.optimize import least_squares
 
 from .walk import dirac_form
@@ -437,18 +437,21 @@ def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> sparse.csr_matrix:
 
     With T the gate's single-particle block, G = exp(1j * phi^dag h phi) with
     h = 1j log T conjugates the pair's mode operators exactly by T and leaves
-    the vacuum strictly invariant.  Diagonalizing h = V diag(d) V^dag gives
-    normal modes b_k = conj(V[0, k]) phi_i + conj(V[1, k]) phi_j whose number
-    operators are commuting projectors, so G = prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)
-    with no series.
+    the vacuum strictly invariant.  T is normal, so its complex Schur form
+    T = V diag(lam) V^dag diagonalizes h = V diag(-arg lam) V^dag with V unitary
+    even for a repeated eigenvalue, and needs no matrix logarithm (scipy's
+    logm fails on T = diag(1 + 1j*eps, 1 - 1j*eps) at subnormal eps).  The
+    normal modes b_k = conj(V[0, k]) phi_i + conj(V[1, k]) phi_j have number
+    operators that are commuting projectors, so
+    G = prod_k (1 + (e^{-i arg lam_k} - 1) b_k^dag b_k) with no series.
     """
     i, j = gate.mode_pair(rep.n_sites, periodic=False)
-    d, v = np.linalg.eigh(1j * logm(gate.matrix()))
+    r, v = schur(gate.matrix(), output="complex")
     eye = sparse.identity(rep.dim, dtype=complex, format="csr")
     out = eye
     for k in range(2):
         b = np.conj(v[0, k]) * rep.modes[i] + np.conj(v[1, k]) * rep.modes[j]
-        out = out @ (eye + (np.exp(1j * d[k]) - 1.0) * (b.getH() @ b))
+        out = out @ (eye + (np.exp(-1j * np.angle(r[k, k])) - 1.0) * (b.getH() @ b))
     return out
 
 
