@@ -46,7 +46,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "list":
         for name in sorted(RECIPES):
-            print(f"{name:16s} {RECIPES[name].doc}")
+            print(f"{name:16s} {RECIPES[name].__doc__}")
         return 0
 
     overrides = {}

@@ -185,22 +185,19 @@ def compose_row(gates: Iterable[GateSpec], n_sites: int, periodic: bool = True) 
     return _row_transfer(b_row, n_sites, periodic) @ _row_transfer(a_row, n_sites, periodic)
 
 
-def check_fb_combination(
-    t: np.ndarray, zeta_target: float, a_over_lambda: float, periodic: bool = True
-) -> float:
+def check_fb_combination(t: np.ndarray, zeta_target: float, a_over_lambda: float) -> float:
     """Largest plus-row defect of the forward-minus-backward combination.
 
-    The combination C = T - T^dag must place zeta_target at site+1,
-    -zeta_target at site-1 and -4j*(a/lambda) on the site's minus mode, with
-    every other entry cancelling.  Returns the maximum l2 row deviation over
-    interior sites (all sites when periodic).
+    The combination C = T - T^dag of a periodic row must place zeta_target at
+    site+1, -zeta_target at site-1 and -4j*(a/lambda) on the site's minus
+    mode, with every other entry cancelling.  Returns the maximum l2 row
+    deviation over all sites.
     """
     n_sites = t.shape[0] // 2
     combo = t - t.conj().T
     coupling = -4j * a_over_lambda
-    sites = range(n_sites) if periodic else range(1, n_sites - 1)
     worst = 0.0
-    for n in sites:
+    for n in range(n_sites):
         target = np.zeros(2 * n_sites, dtype=complex)
         target[mode_index((n + 1) % n_sites, PLUS, n_sites)] = zeta_target
         target[mode_index((n - 1) % n_sites, PLUS, n_sites)] = -zeta_target

@@ -113,6 +113,11 @@ class ObserverSpec:
         """Displacement between neighbouring events of one simultaneity leaf."""
         return (self.n_right, -self.n_left)
 
+    def far_mirror(self, separation: int) -> "ObserverSpec":
+        """A light clock's far mirror: this chain moved ``separation`` leaf steps."""
+        du, dv = self.leaf_step()
+        return self.translated(separation * du, separation * dv)
+
 
 class RadarCoordinate(NamedTuple):
     t_obs: float
@@ -278,8 +283,7 @@ def einstein_clock(spec: ObserverSpec, mirror_separation: int = 1) -> ClockTicTa
     """
     if mirror_separation < 1:
         raise ValueError("mirror_separation must be at least one leaf event")
-    du, dv = spec.leaf_step()
-    far = spec.translated(mirror_separation * du, mirror_separation * dv)
+    far = spec.far_mirror(mirror_separation)
     # the mirrors are disjoint translates, and v (then u) moves by at most one
     # per index, so each reception lies on the ray that left the other mirror
     reflection = far.event_at(radar_coordinates(far, spec.origin).reception)

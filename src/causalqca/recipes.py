@@ -1,11 +1,12 @@
 """Named, reproducible experiment recipes writing diffable CSV/JSON outputs.
 
-Each recipe is a pure function of its descriptor (name + key=value params):
-identical descriptors produce byte-identical files.  A recipe returns its
-summary, its check result and its tables; :func:`run_recipe` writes the JSON
-summary and every table (CSV, JSON or SVG text).  A recipe reports
-``ok = False`` when its built-in check fails, which the command-line wrapper
-turns into a nonzero exit code.
+A recipe is a function ``recipe(svg, *, key=default, ...)``: its keyword-only
+parameters are its ``key=value`` settings, typed by their defaults, and its
+docstring is its line in ``causalqca list``.  Identical settings produce
+byte-identical files.  A recipe returns its summary, its check result and its
+tables; :func:`run_recipe` writes the JSON summary and every table (CSV, JSON
+or SVG text).  A recipe reports ``ok = False`` when its built-in check fails,
+which the command-line wrapper turns into a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -92,13 +92,6 @@ class RecipeResult:
 Tables = dict[str, tuple[list[str], list[list]] | dict | str]
 
 
-@dataclass(frozen=True)
-class Recipe:
-    doc: str
-    defaults: dict
-    run: Callable[[dict, bool], tuple[dict, bool, Tables]]
-
-
 def _parse_overrides(defaults: dict, overrides: dict[str, str]) -> dict:
     params = dict(defaults)
     for key, raw in overrides.items():
@@ -135,12 +128,13 @@ def _clock_ok(clock: ClockTicTac, period: int, sep: int) -> bool:
             and clock.separation_leaf_events == sep)
 
 
-def _fig1(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    rest = ObserverSpec(params["rest_pattern"])
-    boosted = ObserverSpec(params["boosted_pattern"])
-    sep = params["separation"]
-    rest_clock = einstein_clock(rest, sep)
-    boosted_clock = einstein_clock(boosted, sep)
+def _fig1(svg: bool, *, rest_pattern: str = "RL", boosted_pattern: str = "RRRL",
+          separation: int = 1) -> tuple[dict, bool, Tables]:
+    """light-clock event counts for a rest and a boosted observer"""
+    rest = ObserverSpec(rest_pattern)
+    boosted = ObserverSpec(boosted_pattern)
+    rest_clock = einstein_clock(rest, separation)
+    boosted_clock = einstein_clock(boosted, separation)
     summary = {
         "rest_ticktac": rest_clock.event_count,
         "boosted_ticktac": boosted_clock.event_count,
@@ -153,35 +147,34 @@ def _fig1(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
         "boosted_doppler_squared": boosted.doppler_squared,
         "ticktac_ratio": boosted_clock.event_count / rest_clock.event_count,
     }
-    ok = _clock_ok(rest_clock, rest.period, sep) and _clock_ok(boosted_clock, boosted.period, sep)
+    ok = (_clock_ok(rest_clock, rest.period, separation)
+          and _clock_ok(boosted_clock, boosted.period, separation))
     tables = {}
     if svg:
         window = Window((-2, 14), (-4, 14))
-        du, dv = boosted.leaf_step()
-        mirror_b = boosted.translated(du, dv)
-        art = spacetime_svg(
+        worldlines = []
+        for label, spec, stop in (("rest", rest, 9), ("boosted", boosted, 11)):
+            mirror = spec.far_mirror(separation)  # where einstein_clock counts it
+            worldlines += [(label, [spec.event_at(n) for n in range(-2, stop)]),
+                           (f"{label} mirror", [mirror.event_at(n) for n in range(-2, stop)])]
+        tables["fig1.svg"] = spacetime_svg(
             window,
-            worldlines=[
-                ("rest", [rest.event_at(n) for n in range(-2, 9)]),
-                ("rest mirror", [rest.translated(1, -1).event_at(n) for n in range(-2, 9)]),
-                ("boosted", [boosted.event_at(n) for n in range(-2, 11)]),
-                ("boosted mirror", [mirror_b.event_at(n) for n in range(-2, 11)]),
-            ],
+            worldlines=worldlines,
             leaves=[
                 ("rest leaf", foliation_leaf(rest, 0, window).events),
                 ("boosted leaf", foliation_leaf(boosted, 0, window).events),
             ],
             title="light clocks: rest vs boosted",
         )
-        tables["fig1.svg"] = art
     return summary, ok, tables
 
 
-def _lorentz_fit(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    spec_a = ObserverSpec(params["pattern_a"])
-    spec_b = ObserverSpec(params["pattern_b"])
-    window = Window.centered(params["t_radius"], params["x_radius"])
-    coarse = params["coarse"]
+def _lorentz_fit(svg: bool, *, pattern_a: str = "RL", pattern_b: str = "RRRL", t_radius: int = 23,
+                 x_radius: int = 22, coarse: float = 0.5) -> tuple[dict, bool, Tables]:
+    """fit the boost between two observer charts over an event window"""
+    spec_a = ObserverSpec(pattern_a)
+    spec_b = ObserverSpec(pattern_b)
+    window = Window.centered(t_radius, x_radius)
     mapping = boost_map(
         spec_a, spec_b, window,
         scale_a=default_scale(spec_a) * coarse,
@@ -225,8 +218,9 @@ def _lorentz_fit(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     return summary, ok, tables
 
 
-def _dispersion(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    walk = WalkParams(params["n_sites"], params["mu"])
+def _dispersion(svg: bool, *, mu: float = 0.6, n_sites: int = 256) -> tuple[dict, bool, Tables]:
+    """band structure and group velocity of the walk"""
+    walk = WalkParams(n_sites, mu)
     table = dispersion(walk)
     analytic, measured = group_velocity_max(walk)
     summary = {
@@ -241,10 +235,12 @@ def _dispersion(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     return summary, ok, {"dispersion.csv": (["p", "E", "g"], rows)}
 
 
-def _zitter(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    walk = WalkParams(params["n_sites"], params["mu"])
-    result = zitter_frequency(walk, params["p0"], params["width"], params["steps"])
-    expected = 2.0 * math.acos(max(-1.0, min(1.0, walk.zeta * math.cos(params["p0"]))))
+def _zitter(svg: bool, *, mu: float = 0.6, p0: float = 0.0, width: float = 8.0, steps: int = 1024,
+            n_sites: int = 1024) -> tuple[dict, bool, Tables]:
+    """position-jitter frequency of a two-band wavepacket"""
+    walk = WalkParams(n_sites, mu)
+    result = zitter_frequency(walk, p0, width, steps)
+    expected = 2.0 * math.acos(max(-1.0, min(1.0, walk.zeta * math.cos(p0))))
     summary = {
         "zitter_peak": result.frequency,
         "expected_band_gap": expected,
@@ -260,46 +256,50 @@ def _zitter(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     return summary, ok, {"zitter_series.csv": (["t", "mean_x", "norm"], rows)}
 
 
-def _front_speed(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    walk = WalkParams(params["n_sites"], params["mu"])
-    speed = front_speed(walk, params["steps"], params["eps"])
+def _front_speed(svg: bool, *, mu: float = 0.6, steps: int = 400, eps: float = 1e-6,
+                 n_sites: int = 1024) -> tuple[dict, bool, Tables]:
+    """propagation-front speed of a localized state"""
+    walk = WalkParams(n_sites, mu)
+    speed = front_speed(walk, steps, eps)
     summary = {
         "front_speed": speed,
         "zeta": walk.zeta,
-        "eps": params["eps"],
-        "steps": params["steps"],
+        "eps": eps,
+        "steps": steps,
     }
     ok = speed <= 1.0 and abs(speed - walk.zeta) <= 0.05
     return summary, ok, {}
 
 
-def _bound_scan(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    if params["count"] < 1:
-        raise ValueError(f"count must be at least 1, got {params['count']}")
-    for key in ("mu_min", "mu_max"):
-        if not 0.0 <= params[key] <= 1.0:
-            raise ValueError(f"{key} must lie in [0, 1], got {params[key]}")
+def _bound_scan(svg: bool, *, mu_min: float = 0.0, mu_max: float = 1.0,
+                count: int = 11) -> tuple[dict, bool, Tables]:
+    """speed bound and vacuum refraction index over the coupling range"""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    for key, value in (("mu_min", mu_min), ("mu_max", mu_max)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{key} must lie in [0, 1], got {value}")
     rows = []
-    for mu in np.linspace(params["mu_min"], params["mu_max"], params["count"]):
+    for mu in np.linspace(mu_min, mu_max, count):
         bound = gates_mod.refraction_bound(float(mu))
         rows.append([float(mu), bound.zeta_max, bound.n_min])
     summary = {
         "count": len(rows),
-        "mu_min": params["mu_min"],
-        "mu_max": params["mu_max"],
+        "mu_min": mu_min,
+        "mu_max": mu_max,
         # the zeta_max column, sqrt(1 - mu**2); the key keeps the summary's format
         "printed_bound_values": [row[1] for row in rows],
     }
     return summary, True, {"bound_scan.csv": (["mu", "zeta_max", "n_min"], rows)}
 
 
-def _gates_verify(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    rep = gates_mod.FockRep(params["n_sites"])  # rejects n_sites before the solve
-    solution = gates_mod.solve_gates(
-        params["zeta"], params["mu"], restarts=params["restarts"], seed=params["seed"]
-    )
-    tiles = gates_mod.tile_gates(solution.gate_a, solution.gate_b, params["n_sites"], periodic=False)
-    fock = gates_mod.fock_consistency(tiles, params["n_sites"])
+def _gates_verify(svg: bool, *, zeta: float = 0.8, mu: float = 0.6, n_sites: int = 4,
+                  restarts: int = 20, seed: int = 0) -> tuple[dict, bool, Tables]:
+    """solve for a gate pair and verify it against the Fock oracle"""
+    rep = gates_mod.FockRep(n_sites)  # rejects n_sites before the solve
+    solution = gates_mod.solve_gates(zeta, mu, restarts=restarts, seed=seed)
+    tiles = gates_mod.tile_gates(solution.gate_a, solution.gate_b, n_sites, periodic=False)
+    fock = gates_mod.fock_consistency(tiles, n_sites)
     summary = {
         "feasible": solution.status == "feasible",
         "status": solution.status,
@@ -326,8 +326,9 @@ def _gates_verify(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     return summary, ok, {"gates.json": {"gates": gates}}
 
 
-def _eff_hamiltonian(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
-    walk = WalkParams(params["n_sites"], params["mu"])
+def _eff_hamiltonian(svg: bool, *, mu: float = 0.6, n_sites: int = 64) -> tuple[dict, bool, Tables]:
+    """coarse-grained generator checks and small-coupling convergence"""
+    walk = WalkParams(n_sites, mu)
     dev1 = effective_hamiltonian_check(walk, 1)
     dev2 = effective_hamiltonian_check(walk, 2)
     slope = generator_small_limit_slope()
@@ -346,7 +347,8 @@ _PROTON_COMPTON_REDUCED = 2.10308910336e-16  # m
 _PROTON_MASS = 1.67262192369e-27  # kg
 
 
-def _units_table(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
+def _units_table(svg: bool) -> tuple[dict, bool, Tables]:
+    """event-count to SI conversions for reference particles"""
     constants_file = os.environ.get(CONSTANTS_ENV) or None
     phys = units_mod.load_constants(constants_file)
     c = units_mod.causal_speed(phys)
@@ -374,52 +376,16 @@ def _units_table(params: dict, svg: bool) -> tuple[dict, bool, Tables]:
     return summary, ok, {"units.csv": (["name", "omega", "mass_kg", "compton_m"], rows)}
 
 
-RECIPES: dict[str, Recipe] = {
-    "fig1": Recipe(
-        "light-clock event counts for a rest and a boosted observer",
-        {"rest_pattern": "RL", "boosted_pattern": "RRRL", "separation": 1},
-        _fig1,
-    ),
-    "lorentz_fit": Recipe(
-        "fit the boost between two observer charts over an event window",
-        {"pattern_a": "RL", "pattern_b": "RRRL", "t_radius": 23, "x_radius": 22, "coarse": 0.5},
-        _lorentz_fit,
-    ),
-    "dispersion": Recipe(
-        "band structure and group velocity of the walk",
-        {"mu": 0.6, "n_sites": 256},
-        _dispersion,
-    ),
-    "zitter": Recipe(
-        "position-jitter frequency of a two-band wavepacket",
-        {"mu": 0.6, "p0": 0.0, "width": 8.0, "steps": 1024, "n_sites": 1024},
-        _zitter,
-    ),
-    "front_speed": Recipe(
-        "propagation-front speed of a localized state",
-        {"mu": 0.6, "steps": 400, "eps": 1e-6, "n_sites": 1024},
-        _front_speed,
-    ),
-    "bound_scan": Recipe(
-        "speed bound and vacuum refraction index over the coupling range",
-        {"mu_min": 0.0, "mu_max": 1.0, "count": 11},
-        _bound_scan,
-    ),
-    "gates_verify": Recipe(
-        "solve for a gate pair and verify it against the Fock oracle",
-        {"zeta": 0.8, "mu": 0.6, "n_sites": 4, "restarts": 20, "seed": 0},
-        _gates_verify,
-    ),
-    "eff_hamiltonian": Recipe(
-        "coarse-grained generator checks and small-coupling convergence",
-        {"mu": 0.6, "n_sites": 64},
-        _eff_hamiltonian,
-    ),
-    "units_table": Recipe(
-        "event-count to SI conversions for reference particles",
-        {},
-        _units_table,
-    ),
+RECIPES = {
+    "fig1": _fig1,
+    "lorentz_fit": _lorentz_fit,
+    "dispersion": _dispersion,
+    "zitter": _zitter,
+    "front_speed": _front_speed,
+    "bound_scan": _bound_scan,
+    "gates_verify": _gates_verify,
+    "eff_hamiltonian": _eff_hamiltonian,
+    "units_table": _units_table,
 }
 
 
@@ -434,8 +400,8 @@ def run_recipe(name: str, overrides: dict[str, str] | None = None,
         valid = ", ".join(sorted(RECIPES))
         raise ValueError(f"unknown recipe {name!r}; valid recipes: {valid}")
     recipe = RECIPES[name]
-    params = _parse_overrides(recipe.defaults, overrides or {})
-    summary, ok, tables = recipe.run(params, svg)
+    params = _parse_overrides(recipe.__kwdefaults__ or {}, overrides or {})
+    summary, ok, tables = recipe(svg, **params)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / f"{name}.json", {

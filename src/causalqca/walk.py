@@ -68,10 +68,13 @@ def delta_state(params: WalkParams, site: int | None = None,
 def gaussian_packet(params: WalkParams, p0: float, width: float,
                     chirality: tuple[complex, complex] = (1.0, 1.0)) -> np.ndarray:
     """Gaussian wavepacket at momentum p0 about the ring's centre site."""
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
+    # the exponent runs up to (n_sites // 2)**2 / spread, which must stay a finite
+    # float; width * width gives inf or 0 where width**2 would raise OverflowError
+    spread = 4.0 * width * width
+    if not (width > 0 and 0.0 < spread < math.inf and (params.n_sites // 2) ** 2 / spread < math.inf):
+        raise ValueError(f"width must be positive with a finite envelope exponent, got {width}")
     n = np.arange(params.n_sites)
-    envelope = np.exp(-((n - params.n_sites // 2) ** 2) / (4.0 * width**2) + 1j * p0 * n)
+    envelope = np.exp(-((n - params.n_sites // 2) ** 2) / spread + 1j * p0 * n)
     amp = np.asarray(chirality, dtype=complex)
     psi = envelope[:, None] * (amp / np.linalg.norm(amp))[None, :]
     return psi / np.linalg.norm(psi)
@@ -210,7 +213,7 @@ def _check_packet_stays_on_ring(params: WalkParams, p0: float, width: float, ste
         reach = (drift + 2.0 * abs(slope) * sigma_p) * steps + 8.0 * width
     if reach >= params.n_sites // 2:
         raise ValueError(
-            f"packet may wrap: estimated reach {reach:.0f} sites exceeds half the "
+            f"packet may wrap: estimated reach {reach:.3g} sites exceeds half the "
             f"ring ({params.n_sites // 2}); enlarge n_sites or reduce steps"
         )
 

@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from causalqca import recipes
 from causalqca.cli import main
+from causalqca.lattice import Event
+from causalqca.observers import ObserverSpec
 from causalqca.recipes import CONSTANTS_ENV, RECIPES, run_recipe
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -41,6 +43,9 @@ def test_list_prints_all_recipes(capsys):
     names = [line.split()[0] for line in out.strip().splitlines()]
     assert names == sorted(RECIPES)
     assert len(names) == 9
+    for line in out.splitlines():  # each line is the recipe's one-line docstring
+        name, doc = line.split(maxsplit=1)
+        assert doc == RECIPES[name].__doc__
 
 
 def test_unknown_recipe_is_usage_error(capsys):
@@ -102,10 +107,14 @@ def test_numpy_only_modules_do_not_import_scipy():
     ("gates_verify", "n_sites=6", "n_sites must lie in [1, 5], got 6"),
     ("lorentz_fit", "coarse=inf", "scales must be finite and positive, got inf and inf"),
     ("lorentz_fit", "coarse=1e308", "mapping must be finite"),
+    # a massless packet's reach does not divide by the width, so the packet itself rejects it
+    ("zitter", "mu=0 width=1e-200 steps=64 n_sites=256",
+     "width must be positive with a finite envelope exponent, got 1e-200"),
 ])
 def test_rejected_value_is_usage_error(recipe, setting, message, tmp_path, capsys):
     out = tmp_path / "out"
-    args = ["run", "--recipe", recipe, "--set", setting, "--out", str(out)]
+    sets = [arg for item in setting.split() for arg in ("--set", item)]
+    args = ["run", "--recipe", recipe, *sets, "--out", str(out)]
     if (recipe, setting) in _ONCE_HUNG:
         proc = subprocess.run([sys.executable, "-W", "always", "-m", "causalqca.cli", *args],
                               capture_output=True, text=True, timeout=30, env=_child_env())
@@ -135,11 +144,19 @@ def test_gates_verify_rejects_n_sites_before_solving(tmp_path, monkeypatch, caps
     assert "n_sites must lie in [1, 5], got 0" in capsys.readouterr().err
 
 
+def test_gates_verify_fails_its_check_when_the_solve_is_undetermined(tmp_path):
+    # just past the bound the defect floor (~1.25e-6) is below the 1e-4 certificate
+    zeta = 0.8 * (1 + 1e-6)
+    assert main(["run", "--recipe", "gates_verify", "--set", f"zeta={zeta}", "--set", "restarts=3",
+                 "--out", str(tmp_path)]) == 1
+    assert json.loads((tmp_path / "gates_verify.json").read_text())["summary"]["status"] == "undetermined"
+
+
 def test_key_error_inside_a_recipe_is_not_a_usage_error(tmp_path, monkeypatch):
-    def broken(params, svg):
+    def broken(svg):
         return {}["missing"]
 
-    monkeypatch.setitem(RECIPES, "fig1", replace(RECIPES["fig1"], run=broken))
+    monkeypatch.setitem(RECIPES, "fig1", broken)
     # a bug surfaces as an exception, not as exit 2
     with pytest.raises(KeyError):
         main(["run", "--recipe", "fig1", "--out", str(tmp_path)])
@@ -155,6 +172,27 @@ def test_fig1_run_and_values(tmp_path, capsys):
     assert (tmp_path / "fig1.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("settings", [{}, {"rest_pattern": "RRL", "separation": "2"},
+                                      {"boosted_pattern": "LLLR", "separation": "3"}])
+def test_fig1_draws_each_mirror_where_the_clock_counts_it(settings, tmp_path, monkeypatch):
+    drawn = {}
+    real = recipes.spacetime_svg
+
+    def capture(window, worldlines, **kwargs):
+        drawn.update(worldlines)
+        return real(window, worldlines, **kwargs)
+
+    monkeypatch.setattr(recipes, "spacetime_svg", capture)
+    run_recipe("fig1", settings, tmp_path, svg=True)
+    params = json.loads((tmp_path / "fig1.json").read_text())["params"]
+    sep = params["separation"]
+    for label in ("rest", "boosted"):
+        spec = ObserverSpec(params[f"{label}_pattern"])
+        # einstein_clock counts the far mirror sep leaf steps (nR, -nL) from the origin
+        far_origin = Event(sep * spec.n_right, -sep * spec.n_left)
+        assert far_origin in drawn[f"{label} mirror"]
+
+
 @pytest.mark.parametrize("pattern", ["LLLR", "LLR", "LLLLR"])
 def test_fig1_mirrored_pattern_passes(pattern, tmp_path):
     assert main(["run", "--recipe", "fig1", "--set", f"boosted_pattern={pattern}",
@@ -167,7 +205,7 @@ patterns = st.text(alphabet="RL", min_size=2, max_size=8).filter(lambda p: "R" i
 @given(patterns, patterns, st.integers(1, 50))
 def test_fig1_check_holds_for_every_clock(rest, boosted, sep):
     params = {"rest_pattern": rest, "boosted_pattern": boosted, "separation": sep}
-    _, ok, _ = RECIPES["fig1"].run(params, False)
+    _, ok, _ = RECIPES["fig1"](False, **params)
     assert ok
 
 
@@ -176,6 +214,14 @@ def test_lorentz_fit_passes_at_any_coarse_graining(coarse, tmp_path):
     # the fit residual is in chart units, which scale with coarse
     assert main(["run", "--recipe", "lorentz_fit", "--set", f"coarse={coarse}",
                  "--out", str(tmp_path)]) == 0
+
+
+def test_lorentz_fit_svg_is_byte_identical_across_runs(tmp_path):
+    for sub in ("a", "b"):
+        run_recipe("lorentz_fit", {}, tmp_path / sub, svg=True)
+    art = (tmp_path / "a" / "foliations.svg").read_bytes()
+    assert art.startswith(b"<svg")
+    assert art == (tmp_path / "b" / "foliations.svg").read_bytes()
 
 
 def test_bound_scan_massless_row(tmp_path):

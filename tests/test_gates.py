@@ -160,6 +160,14 @@ def test_solve_gates_at_and_over_the_bound():
     assert below.requested_residual > 1e-8  # exact sub-bound row form does not exist
 
 
+def test_solve_gates_just_past_the_bound_is_undetermined():
+    # the defect floor just past the bound (~1.25e-6) lies between the 1e-8
+    # feasibility tolerance and the 1e-4 infeasibility certificate
+    sol = solve_gates(0.8 * (1 + 1e-6), 0.6, restarts=3, seed=0)
+    assert sol.status == "undetermined"
+    assert 1e-8 < min(sol.restart_residuals) < 1e-4
+
+
 @pytest.mark.parametrize(
     "mu, seed, restarts",
     [(0.3, 1, 3), (0.6, 5, 3), (0.8, 7, 3), (0.3, 7, 20), (0.6, 1, 20), (0.8, 5, 20),

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from causalqca.lattice import Event, causally_precedes
 from causalqca.observers import (
     ClockTicTac,
+    FoliationLeaf,
     ObserverSpec,
     Window,
     boost_map,
@@ -127,6 +128,10 @@ def test_foliation_leaf_example():
     leaf = foliation_leaf(REST, 0, Window((-6, 6), (-4, 4)))
     assert sorted((e.t, e.x) for e in leaf.events) == [(0, -4), (0, -2), (0, 0), (0, 2), (0, 4)]
     assert leaf.is_achronal()
+
+
+def test_leaf_with_causally_related_events_is_not_achronal():
+    assert not FoliationLeaf(0.0, (Event(0, 0), Event(1, 0))).is_achronal()
 
 
 def test_rest_half_integer_leaves_are_empty():

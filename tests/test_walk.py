@@ -37,7 +37,7 @@ def test_gaussian_packet_is_centred_and_rejects_bad_width():
     psi = gaussian_packet(params, p0=0.3, width=4.0)
     assert np.argmax(np.sum(np.abs(psi) ** 2, axis=1)) == 32
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
-    for bad in (0.0, -1.0, math.nan):
+    for bad in (0.0, -1.0, math.nan, 1e-200, 1e200):
         with pytest.raises(ValueError, match="width must be positive"):
             gaussian_packet(params, p0=0.0, width=bad)
 
@@ -237,9 +237,17 @@ def test_zitter_guards():
 
 @pytest.mark.parametrize("width", [1e-200, 1e-320, 0.0, -1.0, math.nan])
 def test_zitter_rejects_tiny_and_bad_widths(width):
-    # the pytest filter turns a RuntimeWarning from the packet into a failure
-    with pytest.raises(ValueError):
-        zitter_frequency(WalkParams(1024, 0.6), p0=0.0, width=width, steps=1024)
+    # the pytest filter turns a RuntimeWarning from the packet into a failure;
+    # the massless walk's reach estimate does not divide by the width
+    for params, steps in ((WalkParams(1024, 0.6), 1024), (WalkParams(256, 0.0), 64)):
+        with pytest.raises(ValueError):
+            zitter_frequency(params, p0=0.0, width=width, steps=steps)
+
+
+def test_packet_wrap_message_stays_short():
+    with pytest.raises(ValueError, match=r"estimated reach \d\.\d\de\+203 sites") as info:
+        zitter_frequency(WalkParams(1024, 0.6), p0=0.0, width=1e-200, steps=1024)
+    assert len(str(info.value)) < 120
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3, 0.6, 0.95])
