@@ -273,13 +273,12 @@ class ClockTicTac(NamedTuple):
 def einstein_clock(spec: ObserverSpec, mirror_separation: int = 1) -> ClockTicTac:
     """Count chain events on both mirror worldlines during one full tic-tac.
 
-    The clock is a pair of chains with the observer's own pattern; the far
-    mirror sits ``mirror_separation`` leaf events away on the simultaneity
-    leaf through the origin (one leaf event spans ``period`` chart events).
+    The far mirror is the observer's chain moved by ``mirror_separation`` leaf
+    steps (nR, -nL), each Minkowski-orthogonal to one period and ``period`` chart
+    events long; its origin need not have radar time 0 (for RRRL it has 1.0).
     A lightlike signal leaves the near mirror at index 0, reflects off the far
-    mirror and returns, each leg ending at a radar reception; both worldlines
-    are then counted over the closed leaf-time interval [0, m] of the round
-    trip, which spans the same number of chain events on each mirror.
+    mirror and returns; both worldlines are counted over the closed leaf-time
+    interval [0, m] of the round trip, the same number of events on each mirror.
     """
     if mirror_separation < 1:
         raise ValueError("mirror_separation must be at least one leaf event")

@@ -68,6 +68,7 @@ def delta_state(params: WalkParams, site: int | None = None,
 def gaussian_packet(params: WalkParams, p0: float, width: float,
                     chirality: tuple[complex, complex] = (1.0, 1.0)) -> np.ndarray:
     """Gaussian wavepacket at momentum p0 about the ring's centre site."""
+    width = float(width)  # Python floats overflow to inf quietly; numpy scalars warn
     # the exponent runs up to (n_sites // 2)**2 / spread, which must stay a finite
     # float; width * width gives inf or 0 where width**2 would raise OverflowError
     spread = 4.0 * width * width
@@ -89,9 +90,12 @@ def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
     """Apply the walk unitary once (norm preserved to machine precision)."""
     if state.shape != (params.n_sites, 2):
         raise ValueError(f"state shape {state.shape} does not match n_sites={params.n_sites}")
-    out = np.empty_like(state)
-    out[:, 0] = params.zeta * np.roll(state[:, 0], 1) + 1j * params.mu * state[:, 1]
-    out[:, 1] = 1j * params.mu * state[:, 0] + params.zeta * np.roll(state[:, 1], -1)
+    moved = params.zeta * state
+    out = 1j * params.mu * state[:, ::-1]
+    out[1:, 0] += moved[:-1, 0]
+    out[:-1, 1] += moved[1:, 1]
+    out[0, 0] += moved[-1, 0]  # the two shifts wrap around the ring
+    out[-1, 1] += moved[0, 1]
     return out
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from causalqca.gates import canonical_gates, compose_row, tile_gates
 from causalqca.walk import (
@@ -37,7 +37,8 @@ def test_gaussian_packet_is_centred_and_rejects_bad_width():
     psi = gaussian_packet(params, p0=0.3, width=4.0)
     assert np.argmax(np.sum(np.abs(psi) ** 2, axis=1)) == 32
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-14)
-    for bad in (0.0, -1.0, math.nan, 1e-200, 1e200):
+    # a numpy scalar near the limit must not warn on overflow before the rejection
+    for bad in (0.0, -1.0, math.nan, 1e-200, 1e200, 10.0 ** np.float64(-155)):
         with pytest.raises(ValueError, match="width must be positive"):
             gaussian_packet(params, p0=0.0, width=bad)
 
@@ -74,6 +75,42 @@ def test_step_matches_dense_oracle(n_sites):
     rng = np.random.default_rng(n_sites)
     psi = random_state(params, rng)
     assert np.max(np.abs(step(psi, params) - _reference_step(psi, params))) < 1e-15
+
+
+def _roll_step(psi, params):
+    # the step as two np.roll stencils, an independent bitwise oracle
+    out = np.empty_like(psi)
+    out[:, 0] = params.zeta * np.roll(psi[:, 0], 1) + 1j * params.mu * psi[:, 1]
+    out[:, 1] = 1j * params.mu * psi[:, 0] + params.zeta * np.roll(psi[:, 1], -1)
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=32),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(1, 0.0, 0)
+@example(1, 1.0, 0)
+@settings(max_examples=100)
+def test_step_matches_roll_stencil_bit_for_bit(half_sites, mu, seed):
+    # at n_sites = 2 each shifted slice is one element long, beside the two wrap entries
+    params = WalkParams(2 * half_sites, mu)
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((params.n_sites, 2)) + 1j * rng.standard_normal((params.n_sites, 2))
+    before = psi.copy()
+    out = step(psi, params)
+    assert np.array_equal(out, _roll_step(psi, params))
+    assert np.array_equal(psi, before) and out is not psi
+
+
+def test_evolve_matches_roll_stencil_bit_for_bit():
+    params = WalkParams(1024, 0.6)
+    psi = random_state(params, np.random.default_rng(11))
+    ref = psi
+    for _ in range(300):
+        ref = _roll_step(ref, params)
+    assert np.array_equal(evolve(psi, params, 300), ref)
 
 
 def _dense_step(params):
