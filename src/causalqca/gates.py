@@ -21,7 +21,8 @@ chains: mode operators are built as strings of Pauli z factors ending in a
 lowering operator, and a gate with generator h = V diag(d) V^dag becomes the
 sparse product ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal
 modes b_k, since those number operators are commuting projectors.  Vacuum
-invariance, anticommutation and gate locality are verified brute force.
+invariance and anticommutation are verified brute force, gate locality
+against the closed form 1, T^dag, conj(det T) on 0, 1 and 2 particles.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import expm, logm, schur
+from scipy.linalg import expm, logm, schur  # expm, logm: unused, perfbench/tracer.py wraps them
 from scipy.optimize import least_squares
 
 from .walk import dirac_form
@@ -452,11 +453,12 @@ def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> sparse.csr_matrix:
     return out
 
 
-def _lone_gate_series(gate: GateSpec) -> np.ndarray:
-    """The gate on one site's two wires by the series exp(1j * phi^dag h phi), 4x4."""
-    h = 1j * logm(gate.matrix())
-    ops = [m.toarray() for m in FockRep(1).modes]
-    return expm(1j * sum(h[r, c] * ops[r].conj().T @ ops[c] for r in range(2) for c in range(2)))
+def _lone_gate(t: np.ndarray) -> np.ndarray:
+    """Block T's gate on its two wires, basis |n_i n_j>: 1, T^dag on (|10>, |01>), conj(det T)."""
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0], out[3, 3] = 1.0, np.conj(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0])
+    out[np.ix_([2, 1], [2, 1])] = t.conj().T
+    return out
 
 
 class FockCheck(NamedTuple):
@@ -473,9 +475,9 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
     Checks that (i) conjugating every mode operator by the full step unitary
     reproduces the compose_row transfer matrix, (ii) the vacuum is invariant
     up to a reported global phase, and (iii) every gate's Fock embedding is
-    the identity outside its own two wires and, on them, the series
-    exponential of its quadratic form.  Gate blocks must be unitary
-    (particle-conserving by construction); chains are open so no gate wraps.
+    the identity outside its own two wires and, on them, 1 on |0>, T^dag on
+    (phi_i^dag|0>, phi_j^dag|0>) and conj(det T) on phi_i^dag phi_j^dag|0>.
+    Gate blocks must be unitary; chains are open so no gate wraps.
     """
     gates = list(gates)
     rep = FockRep(n_sites)
@@ -485,10 +487,8 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
         full = fock_gate_matrix(g, rep)
         u = full @ u
         i, _ = g.mode_pair(n_sites, periodic=False)  # open chain: wires i, i + 1
-        expected = sparse.kron(
-            sparse.kron(sparse.identity(2**i), _lone_gate_series(g)),
-            sparse.identity(2 ** (rep.n_modes - i - 2)),
-        )
+        expected = _kron_chain([sparse.identity(2**i), _lone_gate(g.matrix()),
+                                sparse.identity(2 ** (rep.n_modes - i - 2))])
         locality_dev = max(locality_dev, _sparse_max_abs(full - expected))
     t_ref = compose_row(gates, n_sites, periodic=False)
 

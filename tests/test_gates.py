@@ -11,6 +11,7 @@ from causalqca.gates import (
     SWAP2,
     FockRep,
     _jacobian,
+    _lone_gate,
     _residual,
     _u2,
     canonical_gates,
@@ -297,22 +298,33 @@ DEGENERATE_PAIRS = {
     "canonical mu=0": tuple(g.matrix() for g in canonical_gates(1.0, 0.0)),
     "canonical mu=1": tuple(g.matrix() for g in canonical_gates(0.0, 1.0)),
 }
+# scipy's series reference for the gates on one site's two wires: the edge
+# cases above and a seeded sweep of U(2)
+SERIES_BLOCKS = {
+    **DEGENERATE_PAIRS,
+    "200 random": tuple(_u2(p) for p in np.random.default_rng(12).uniform(-math.pi, math.pi, (200, 4))),
+}
+# a diagonal gate whose eigenvalues differ by a subnormal amount, on which
+# scipy's logm raises "R is not upper triangular", so it has no series
+SUBNORMAL_SPLIT = _u2(np.array([0.0, 0.0, 2.2250738585e-313, 0.0]))
+ORACLE_PAIRS = {**DEGENERATE_PAIRS, "subnormal split": (SUBNORMAL_SPLIT, SUBNORMAL_SPLIT)}
 
 
-@pytest.mark.parametrize("name", DEGENERATE_PAIRS)
+@pytest.mark.parametrize("name", SERIES_BLOCKS)
 def test_fock_gate_product_matches_series_on_degenerate_gates(name):
     lone = FockRep(1)
     ops = [m.toarray() for m in lone.modes]
-    for block in DEGENERATE_PAIRS[name]:
+    for block in SERIES_BLOCKS[name]:
         h = 1j * logm(block)
         series = expm(1j * sum(h[r, c] * ops[r].conj().T @ ops[c] for r in range(2) for c in range(2)))
         product = fock_gate_matrix(gate_spec("B", 0, block), lone).toarray()
         assert np.max(np.abs(product - series)) <= 1e-14
+        assert np.max(np.abs(_lone_gate(block) - series)) <= 1e-14
 
 
-@pytest.mark.parametrize("name", DEGENERATE_PAIRS)
+@pytest.mark.parametrize("name", ORACLE_PAIRS)
 def test_fock_oracle_validates_degenerate_gates(name):
-    a, b = DEGENERATE_PAIRS[name]
+    a, b = ORACLE_PAIRS[name]
     tiles = tile_gates(gate_spec("A", 0, a), gate_spec("B", 0, b), 3, periodic=False)
     assert fock_consistency(tiles, 3).max_deviation <= 1e-12
 

@@ -107,6 +107,16 @@ def test_radar_indices_are_integers(pattern, u, v):
     assert rc.reception == rc.t_obs + abs(rc.x_obs)
 
 
+@given(patterns, st.integers(1, 3), origins, st.integers(-30, 30), st.integers(-30, 30))
+def test_radar_respects_period_representation_and_parity(pattern, k, origin, u, v):
+    # the chain is the same for a repeated pattern; the R <-> L mirror swaps u
+    # and v, which keeps every chain index and flips the sign of distance
+    rc = radar_coordinates(ObserverSpec(pattern, origin), Event(u, v))
+    assert radar_coordinates(ObserverSpec(pattern * k, origin), Event(u, v)) == rc
+    mirror = ObserverSpec(pattern.translate(str.maketrans("RL", "LR")), Event(origin.v, origin.u))
+    assert radar_coordinates(mirror, Event(v, u)) == (rc.t_obs, -rc.x_obs)
+
+
 @settings(max_examples=40)
 @given(patterns, st.integers(min_value=-8, max_value=8), st.integers(min_value=-8, max_value=8),
        st.lists(st.sampled_from([(1, 0), (0, 1)]), min_size=1, max_size=12))
