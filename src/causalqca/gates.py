@@ -23,27 +23,38 @@ sparse product ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal
 modes b_k, since those number operators are commuting projectors.  Vacuum
 invariance and anticommutation are verified brute force, gate locality
 against the closed form 1, T^dag, conj(det T) on 0, 1 and 2 particles.
+scipy loads on the first solve or oracle call, not with this module.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import expm, logm, schur  # expm, logm: unused, perfbench/tracer.py wraps them
-from scipy.optimize import least_squares
 
 from .walk import dirac_form
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 PLUS = "+"
 MINUS = "-"
 
-_ID2 = sparse.identity(2, dtype=complex, format="csr")
-_SZ = sparse.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
-_LOWER = sparse.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+def _scipy(module: str, name: str):
+    """``module.name`` as a module-level function that imports ``module`` on its first call."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module), name)(*args, **kwargs)
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+least_squares, schur = _scipy("scipy.optimize", "least_squares"), _scipy("scipy.linalg", "schur")
+expm, logm = _scipy("scipy.linalg", "expm"), _scipy("scipy.linalg", "logm")  # only for perfbench/tracer.py
 
 
 def mode_index(site: int, chirality: str, n_sites: int) -> int:
@@ -56,6 +67,7 @@ def mode_index(site: int, chirality: str, n_sites: int) -> int:
 
 
 def _kron_chain(ops: Sequence[sparse.spmatrix]) -> sparse.csr_matrix:
+    from scipy import sparse
     out = ops[0]
     for op in ops[1:]:
         out = sparse.kron(out, op, format="csr")
@@ -63,8 +75,8 @@ def _kron_chain(ops: Sequence[sparse.spmatrix]) -> sparse.csr_matrix:
 
 
 def _jw_sparse(mode: int, n_modes: int) -> sparse.csr_matrix:
-    ops = [_SZ] * mode + [_LOWER] + [_ID2] * (n_modes - mode - 1)
-    return _kron_chain(ops)
+    sz, lower = np.diag([1.0, -1.0]).astype(complex), np.array([[0, 1], [0, 0]], dtype=complex)
+    return _kron_chain([sz] * mode + [lower] + [np.eye(2, dtype=complex)] * (n_modes - mode - 1))
 
 
 class FockRep:
@@ -79,9 +91,11 @@ class FockRep:
         self.modes = [_jw_sparse(m, self.n_modes) for m in range(self.n_modes)]
         self.vacuum = np.zeros(self.dim, dtype=complex)
         self.vacuum[0] = 1.0  # all modes empty
+        self.vacuum.flags.writeable = False  # fock_rep shares it
 
     def anticommutation_defect(self) -> float:
         """Largest deviation from {phi_i, phi_j^dag} = delta_ij, {phi_i, phi_j} = 0."""
+        from scipy import sparse
         worst = 0.0
         eye = sparse.identity(self.dim, dtype=complex, format="csr")
         for i, a in enumerate(self.modes):
@@ -90,6 +104,9 @@ class FockRep:
                 plain = a @ b + b @ a
                 worst = max(worst, _sparse_max_abs(mixed), _sparse_max_abs(plain))
         return worst
+
+
+fock_rep = functools.cache(FockRep)  # one shared FockRep per chain length, built on first use
 
 
 def _sparse_max_abs(m: sparse.spmatrix) -> float:
@@ -443,6 +460,7 @@ def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> sparse.csr_matrix:
     operators that are commuting projectors, so
     G = prod_k (1 + (e^{-i arg lam_k} - 1) b_k^dag b_k) with no series.
     """
+    from scipy import sparse
     i, j = gate.mode_pair(rep.n_sites, periodic=False)
     r, v = schur(gate.matrix(), output="complex")
     eye = sparse.identity(rep.dim, dtype=complex, format="csr")
@@ -479,8 +497,9 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
     (phi_i^dag|0>, phi_j^dag|0>) and conj(det T) on phi_i^dag phi_j^dag|0>.
     Gate blocks must be unitary; chains are open so no gate wraps.
     """
+    from scipy import sparse
     gates = list(gates)
-    rep = FockRep(n_sites)
+    rep = fock_rep(n_sites)
     u = sparse.identity(rep.dim, dtype=complex, format="csr")
     locality_dev = 0.0
     for g in sorted(gates, key=lambda gate: gate.kind != "B"):  # B row applied first

@@ -296,7 +296,7 @@ def _bound_scan(svg: bool, *, mu_min: float = 0.0, mu_max: float = 1.0,
 def _gates_verify(svg: bool, *, zeta: float = 0.8, mu: float = 0.6, n_sites: int = 4,
                   restarts: int = 20, seed: int = 0) -> tuple[dict, bool, Tables]:
     """solve for a gate pair and verify it against the Fock oracle"""
-    rep = gates_mod.FockRep(n_sites)  # rejects n_sites before the solve
+    rep = gates_mod.fock_rep(n_sites)  # rejects n_sites before the solve; fock_consistency reuses it
     solution = gates_mod.solve_gates(zeta, mu, restarts=restarts, seed=seed)
     tiles = gates_mod.tile_gates(solution.gate_a, solution.gate_b, n_sites, periodic=False)
     fock = gates_mod.fock_consistency(tiles, n_sites)

@@ -80,14 +80,34 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def test_numpy_only_modules_do_not_import_scipy():
-    # gates imports walk, never the reverse: the numpy-only layers start without scipy
-    code = ("import sys; import causalqca.walk, causalqca.observers, causalqca.lattice, "
-            "causalqca.units, causalqca.diagrams; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+def _scipy_after_each(steps: list[str]) -> dict[str, list[str]]:
+    """The scipy modules a fresh interpreter has loaded after each of ``steps``, run in order.
+
+    A child process, because pytest's warning filters import scipy.sparse here.
+    """
+    probe = "; print('SCIPY', json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    code = "import json, sys\n" + "\n".join(step + probe for step in steps)
     proc = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                           text=True, env=_child_env())
-    assert proc.stdout.strip() == "[]"
+    loaded = [json.loads(line[len("SCIPY "):]) for line in proc.stdout.splitlines() if line.startswith("SCIPY ")]
+    return dict(zip(steps, loaded, strict=True))
+
+
+def test_numpy_only_modules_do_not_import_scipy(tmp_path):
+    # gates imports walk, never the reverse: the numpy-only layers start without
+    # scipy, and so do the CLI and every recipe that neither solves nor calls the oracle
+    steps = ["import causalqca.walk, causalqca.observers, causalqca.lattice, causalqca.units, causalqca.diagrams",
+             "import causalqca.cli", "causalqca.cli.main(['list'])"]
+    steps += [f"causalqca.recipes.run_recipe({name!r}, out_dir={str(tmp_path / name)!r})"
+              for name in ("fig1", "units_table", "bound_scan")]
+    assert _scipy_after_each(steps) == {step: [] for step in steps}
+
+
+def test_gates_verify_loads_scipy_on_demand(tmp_path):
+    run = f"causalqca.recipes.run_recipe('gates_verify', {{'restarts': '0', 'n_sites': '2'}}, out_dir={str(tmp_path)!r})"
+    loaded = _scipy_after_each(["import causalqca.cli", run])
+    assert loaded["import causalqca.cli"] == []
+    assert {"scipy.optimize", "scipy.sparse"} <= set(loaded[run])
 
 
 @pytest.mark.parametrize("recipe, setting, message", [

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from causalqca.gates import (
     compose_row,
     fock_consistency,
     fock_gate_matrix,
+    fock_rep,
     gate_spec,
     gates_to_json,
     mode_index,
@@ -27,6 +32,8 @@ from causalqca.gates import (
     tile_gates,
 )
 from causalqca.walk import dirac_form
+
+SRC_DIR = str(Path(__file__).parent.parent / "src")
 
 
 def test_mode_ordering():
@@ -56,6 +63,40 @@ def test_operators_are_nilpotent():
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
 def test_anticommutation_relations(n_sites):
     assert FockRep(n_sites).anticommutation_defect() < 1e-12
+
+
+def test_fock_rep_is_shared_and_its_vacuum_read_only():
+    rep = fock_rep(3)
+    assert fock_rep(3) is rep and rep.n_sites == 3
+    with pytest.raises(ValueError):
+        rep.vacuum[0] = 0.0
+    hits = fock_rep.cache_info().hits
+    fock_consistency(tile_gates(*canonical_gates(0.8, 0.6), 3, periodic=False), 3)
+    assert fock_rep.cache_info().hits == hits + 1  # the oracle reuses the rep
+
+
+def test_scipy_calls_go_through_module_attributes(monkeypatch):
+    # perfbench/tracer.py times the solver by replacing gates.least_squares
+    calls = []
+    real = gates.least_squares
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gates, "least_squares", counting)
+    assert solve_gates(0.8, 0.6, restarts=0).status == "feasible"
+    assert len(calls) == 2  # one per analytic warm start
+
+
+def test_expm_and_logm_resolve_without_importing_scipy():
+    # the tracer wraps gates.expm and gates.logm after the CLI is imported, so
+    # reading them must not load scipy; the first call does
+    code = ("import sys; import numpy as np; from causalqca import gates; gates.expm, gates.logm; "
+            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'; "
+            "assert np.array_equal(gates.expm(np.zeros((2, 2))), np.eye(2))")
+    path = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
 
 
 def test_vacuum_is_annihilated():
