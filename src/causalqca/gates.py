@@ -14,7 +14,10 @@ discrete Dirac combination
 
 and row normalization of the unitary T bounds the flow speed by
 ``zeta <= sqrt(1 - mu**2)``: the refraction-index bound that
-:func:`solve_gates` probes numerically.
+:func:`solve_gates` probes numerically.  In momentum space the combination is
+a trigonometric polynomial of degree one, C(p) = C0 + Cp e^{ip} - Cp^dag e^{-ip},
+so the fit runs on those three Fourier coefficients; the defect it reports is
+still the largest deviation over the 16 lattice momenta.
 
 Everything is cross-checked against an exact Fock representation on short
 chains: mode operators are built as strings of Pauli z factors ending in a
@@ -28,6 +31,7 @@ scipy loads on the first solve or oracle call, not with this module.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import importlib
 import math
@@ -247,73 +251,82 @@ def refraction_bound(mu: float) -> RefractionBound:
 # feasibility search
 
 
-def _u2(params: np.ndarray) -> np.ndarray:
+def _u2_entries(params: Sequence[float]) -> tuple[complex, complex, complex, complex]:
+    """(u00, u01, u10, u11) of e^{i phase} [[c e^{i alpha}, s e^{i beta}], [-s e^{-i beta}, c e^{-i alpha}]]"""
     phase, theta, alpha, beta = params
     c, s = math.cos(theta), math.sin(theta)
-    core = np.array(
-        [[c * np.exp(1j * alpha), s * np.exp(1j * beta)],
-         [-s * np.exp(-1j * beta), c * np.exp(-1j * alpha)]]
-    )
-    return np.exp(1j * phase) * core
+    ep, ea, eb = cmath.exp(1j * phase), cmath.exp(1j * alpha), cmath.exp(1j * beta)
+    return ep * (c * ea), ep * (s * eb), ep * (-s * eb.conjugate()), ep * (c * ea.conjugate())
 
 
-def _u2_derivatives(params: np.ndarray) -> np.ndarray:
-    """d _u2 / d(phase, theta, alpha, beta), shape (4, 2, 2)."""
+def _u2(params: Sequence[float]) -> np.ndarray:
+    return np.array(_u2_entries(params)).reshape(2, 2)
+
+
+def _u2_derivatives(params: Sequence[float]) -> tuple[tuple[complex, ...], ...]:
+    """d _u2_entries / d(phase, theta, alpha, beta): one entry tuple per parameter."""
     phase, theta, alpha, beta = params
-    c, s = math.cos(theta), math.sin(theta)
-    ea, eb = np.exp(1j * alpha), np.exp(1j * beta)
-    d_core = np.array([
-        [[-s * ea, c * eb], [-c / eb, -s / ea]],
-        [[1j * c * ea, 0.0], [0.0, -1j * c / ea]],
-        [[0.0, 1j * s * eb], [1j * s / eb, 0.0]],
-    ])
-    return np.concatenate([[1j * _u2(params)], np.exp(1j * phase) * d_core])
+    u00, u01, u10, u11 = _u2_entries(params)
+    return ((1j * u00, 1j * u01, 1j * u10, 1j * u11),
+            _u2_entries((phase, theta + math.pi / 2, alpha, beta)),  # (cos, sin) -> (-sin, cos)
+            (1j * u00, 0j, 0j, -1j * u11),
+            (0j, 1j * u01, -1j * u10, 0j))
 
 
 def _a_row(a: np.ndarray, momenta: np.ndarray) -> np.ndarray:
-    """The A row in the momentum basis, [[a22, a21 e^{ip}], [a12 e^{-ip}, a11]].
-
-    Linear in ``a``; a stack of shape (..., 2, 2) gives shape (..., len(p), 2, 2).
-    """
+    """The A row in the momentum basis, [[a22, a21 e^{ip}], [a12 e^{-ip}, a11]], shape (len(p), 2, 2)."""
     phase = np.exp(1j * momenta)
-    a = a[..., None, :, :]
-    row = np.empty(a.shape[:-3] + (len(momenta), 2, 2), dtype=complex)
-    row[..., 0, 0] = a[..., 1, 1]
-    row[..., 0, 1] = a[..., 1, 0] * phase
-    row[..., 1, 0] = a[..., 0, 1] / phase
-    row[..., 1, 1] = a[..., 0, 0]
+    row = np.empty((len(momenta), 2, 2), dtype=complex)
+    row[:, 0, 0] = a[1, 1]
+    row[:, 0, 1] = a[1, 0] * phase
+    row[:, 1, 0] = a[0, 1] / phase
+    row[:, 1, 1] = a[0, 0]
     return row
-
-
-def _anti_hermitian(t: np.ndarray) -> np.ndarray:
-    return t - np.conj(np.swapaxes(t, -1, -2))
 
 
 def _momentum_combination(a: np.ndarray, b: np.ndarray, momenta: np.ndarray) -> np.ndarray:
     """C(p) = T(p) - T(p)^dag for the tiled two-row step, shape (len(p), 2, 2)."""
-    return _anti_hermitian(b @ _a_row(a, momenta))
+    t = b @ _a_row(a, momenta)
+    return t - np.conj(np.swapaxes(t, -1, -2))
 
 
-def _split(diff: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of the trailing (p, 2, 2) axes as one real axis."""
-    flat = diff.reshape(diff.shape[:-3] + (-1,))
-    return np.concatenate([flat.real, flat.imag], axis=-1)
+_W = 4.0 * math.sqrt(2.0)  # sqrt(32): weight of an off-diagonal entry of C0 and of each entry of Cp
 
 
-def _residual(x: np.ndarray, momenta: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return _split(_momentum_combination(_u2(x[:4]), _u2(x[4:]), momenta) - target)
+def _coefficients(a: Sequence[complex], b: Sequence[complex]) -> list[float]:
+    """C0 and Cp of entry tuples a and b as _residual weighs them; real-bilinear in (a, b)."""
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    c0_01 = b01 * a00 - (b10 * a11).conjugate()
+    cp_00, cp_01, cp_11 = -(b01 * a01).conjugate(), b00 * a10 - (b11 * a01).conjugate(), b10 * a10
+    return [8.0 * (b00 * a11).imag, 8.0 * (b11 * a00).imag, _W * c0_01.real, _W * c0_01.imag, _W * cp_00.real,
+            _W * cp_00.imag, _W * cp_01.real, _W * cp_01.imag, _W * cp_11.real, _W * cp_11.imag]
 
 
-def _jacobian(x: np.ndarray, momenta: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """d _residual / dx in closed form, shape (len(residual), 8).
+def _residual(x: np.ndarray, zeta: float, mu: float) -> np.ndarray:
+    """10 reals whose sum of squares is that of C(p) - target(p) over the 16 _MOMENTA.
 
-    C is linear in A and in B: an A parameter moves T = B M(A) by B M(dA), a B
-    parameter by dB M(A), and C by dT - dT^dag.
+    C(p) = C0 + Cp e^{ip} - Cp^dag e^{-ip} with C0 anti-Hermitian and Cp[1, 0] = 0,
+    and the target -2i (zeta sin p sigma_z + mu sigma_x) has the coefficients
+    -2i mu sigma_x and -zeta sigma_z.  On the 16 momenta 1 and e^{+-ip} are
+    orthogonal, so the sum is 16 |R0|^2 + 32 |Rp|^2 with R0 = C0 + 2i mu sigma_x
+    and Rp = Cp + zeta sigma_z, and the fit sees the lattice's J^T J and J^T r.
     """
-    a, b = _u2(x[:4]), _u2(x[4:])
-    dt_a = b @ _a_row(_u2_derivatives(x[:4]), momenta)
-    dt_b = _u2_derivatives(x[4:])[:, None] @ _a_row(a, momenta)
-    return _split(_anti_hermitian(np.concatenate([dt_a, dt_b]))).T
+    x = x.tolist()
+    r = _coefficients(_u2_entries(x[:4]), _u2_entries(x[4:]))
+    # R0[0, 1] gains 2i mu, Rp[0, 0] gains zeta and Rp[1, 1] loses it
+    r[3] += _W * 2.0 * mu
+    r[4] += _W * zeta
+    r[8] -= _W * zeta
+    return np.array(r)
+
+
+def _jacobian(x: np.ndarray, zeta: float, mu: float) -> np.ndarray:
+    """d _residual / dx, shape (10, 8): _coefficients(dA, B) for A's parameters, (A, dB) for B's."""
+    x = x.tolist()
+    a, b = _u2_entries(x[:4]), _u2_entries(x[4:])
+    columns = [_coefficients(da, b) for da in _u2_derivatives(x[:4])]
+    return np.array(columns + [_coefficients(a, db) for db in _u2_derivatives(x[4:])]).T
 
 
 _TOL = 1e-8  # largest combination defect of a feasible pair
@@ -341,7 +354,7 @@ def _optimize_combination(
     for x0 in starts:
         fit = least_squares(
             _residual, x0, jac=_jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            args=(_MOMENTA, target),
+            args=(zeta, mu),
         )
         diff = _momentum_combination(_u2(fit.x[:4]), _u2(fit.x[4:]), _MOMENTA) - target
         defect = float(np.max(np.abs(diff)))
@@ -372,7 +385,9 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     Minimizes the defect of the forward/backward combination against the
     Dirac target over the 16-point lattice momentum grid, from two analytic
     warm starts plus ``restarts`` random points in the U(2) x U(2) parameter
-    space.
+    space.  Each fit runs on the three Fourier coefficients of the
+    combination, whose weighted sum of squares equals the grid's; each
+    restart's defect is the largest deviation over the 16 momenta.
 
     Exactly realizable speeds form the single point sqrt(1 - mu**2): any
     nearest-neighbour unitary step saturates the row-normalization bound

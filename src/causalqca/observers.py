@@ -248,9 +248,14 @@ def fit_lorentz(mapping: np.ndarray) -> BoostFit:
     design = np.block([[ta[:, None], xa[:, None], ones[:, None], zeros[:, None]],
                        [xa[:, None], ta[:, None], zeros[:, None], ones[:, None]]])
     target = np.concatenate([tb, xb])
-    sol, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    # columns scaled to a largest entry of 1: lstsq's rcond then weighs the chart and
+    # translation columns alike at any chart scale, and the max norm cannot overflow
+    scale = np.max(np.abs(design), axis=0)
+    scale[scale == 0.0] = 1.0  # an all-zero chart column stays zero and fails the rank check
+    scaled, _, rank, _ = np.linalg.lstsq(design / scale, target, rcond=None)
     if rank < 4:
         raise ValueError("degenerate sample set: events do not span the chart plane")
+    sol = scaled / scale
     g, b, ct, cx = sol
     residuals = target - design @ sol
     return BoostFit(beta=float(-b / g), gamma=float(g),

@@ -13,9 +13,11 @@ from scipy.linalg import expm, logm
 from causalqca import gates
 from causalqca.gates import (
     SWAP2,
+    _MOMENTA,
     FockRep,
     _jacobian,
     _lone_gate,
+    _momentum_combination,
     _residual,
     _u2,
     canonical_gates,
@@ -238,21 +240,39 @@ def test_achieved_zeta_matches_the_real_space_transfer(zeta, mu):
     assert abs(sol.achieved_zeta - (t - t.conj().T)[row, col].real) <= 1e-15
 
 
+def _central_differences(f, x, h=1e-6):
+    return np.stack([(f(x + e) - f(x - e)) / (2 * h) for e in h * np.eye(len(x))], axis=1)
+
+
 def test_analytic_jacobian_matches_central_differences():
-    momenta = 2.0 * np.pi * np.fft.fftfreq(16)
-    target = -2j * dirac_form(0.7, 0.5, momenta)
     points = np.random.default_rng(3).uniform(-np.pi, np.pi, size=(20, 8))
     # theta of A and of B at the edges of the chart: pure phase and pure swap
     points[0, [1, 5]] = 0.0
     points[1, [1, 5]] = math.pi / 2
     points[2, [1, 5]] = (0.0, math.pi / 2)
-    h = 1e-6
     for x in points:
-        central = np.stack([
-            (_residual(x + e, momenta, target) - _residual(x - e, momenta, target)) / (2 * h)
-            for e in h * np.eye(8)
-        ], axis=1)
-        assert np.max(np.abs(_jacobian(x, momenta, target) - central)) <= 1e-6
+        central = _central_differences(lambda y: _residual(y, 0.7, 0.5), x)
+        assert np.max(np.abs(_jacobian(x, 0.7, 0.5) - central)) <= 1e-6
+
+
+def _lattice_residual(x, zeta, mu):
+    # the 128 real entries of C(p) - target(p) over the 16 lattice momenta
+    diff = _momentum_combination(_u2(x[:4]), _u2(x[4:]), _MOMENTA) + 2j * dirac_form(zeta, mu, _MOMENTA)
+    return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-math.pi, math.pi), min_size=8, max_size=8),
+       st.sampled_from([(0.7, 0.5), (0.8, 0.6), (0.9, 0.6), (1.0, 0.0), (0.05, 1.0), (2.0, 0.3)]))
+def test_fourier_residual_gives_the_lattice_normal_equations(x, target):
+    # Levenberg-Marquardt sees the residual only through |r|^2, J^T J and J^T r
+    x, (zeta, mu) = np.array(x), target
+    r, jac = _residual(x, zeta, mu), _jacobian(x, zeta, mu)
+    lattice = _lattice_residual(x, zeta, mu)
+    lattice_jac = _central_differences(lambda y: _lattice_residual(y, zeta, mu), x)
+    assert r @ r == pytest.approx(lattice @ lattice, rel=1e-12)
+    assert np.max(np.abs(jac.T @ jac - lattice_jac.T @ lattice_jac)) <= 1e-6
+    assert np.max(np.abs(jac.T @ r - lattice_jac.T @ lattice)) <= 1e-6
 
 
 @pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 23), (1.001, "infeasible", 22)])
