@@ -3,8 +3,9 @@
 For each coupling mu the largest unitary flow speed is sqrt(1 - mu**2), so
 the vacuum behaves like a medium with refraction index 1/sqrt(1 - mu**2) for
 a massive field.  The gate solver demonstrates both sides of the bound: just
-below it a gate pair exists (and is found to machine precision), just above
-it twenty optimizer restarts all stall at a defect floor.
+below it the saturating gate pair grants the request exactly, just above it
+twenty optimizer restarts all stay above the proved defect floor
+hypot(zeta, mu) - 1.
 """
 
 import math
@@ -41,7 +42,10 @@ for zeta_req in (0.8 * (1 - 1e-6), 0.8 * 1.001, 0.9):
         f"requested zeta = {zeta_req:.6f}: {sol.status} "
         f"(residual {sol.residual:.2e}, achieved speed {sol.achieved_zeta:.6f})"
     )
+    floor = math.hypot(zeta_req, mu) - 1
+    if floor > 0:
+        print(f"    smallest restart {min(sol.restart_residuals):.2e} >= proved floor {floor:.2e}")
 print(
     "\nnote: the attainable speed is exactly sqrt(1 - mu**2) - requests below the\n"
-    "bound are granted by the saturating pair, requests above certify as infeasible"
+    "bound are granted by the saturating pair, requests above are proved infeasible"
 )

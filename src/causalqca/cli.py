@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 1 when a recipe's built-in check fails, 2 on usage
 errors (unknown recipe, unknown parameter, malformed --set, a parameter value
-the recipe rejects).
+the recipe rejects, a size too large to allocate).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         result = run_recipe(args.recipe, overrides, args.out, svg=args.svg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

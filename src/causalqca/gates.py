@@ -14,10 +14,11 @@ discrete Dirac combination
 
 and row normalization of the unitary T bounds the flow speed by
 ``zeta <= sqrt(1 - mu**2)``: the refraction-index bound that
-:func:`solve_gates` probes numerically.  In momentum space the combination is
+:func:`solve_gates` decides in closed form.  In momentum space the combination is
 a trigonometric polynomial of degree one, C(p) = C0 + Cp e^{ip} - Cp^dag e^{-ip},
-so the fit runs on those three Fourier coefficients; the defect it reports is
-still the largest deviation over the 16 lattice momenta.
+so the fits that back the decision run on those three Fourier coefficients;
+the defect they report is still the largest deviation over the 16 lattice
+momenta.
 
 Everything is cross-checked against an exact Fock representation on short
 chains: mode operators are built as strings of Pauli z factors ending in a
@@ -330,7 +331,6 @@ def _jacobian(x: np.ndarray, zeta: float, mu: float) -> np.ndarray:
 
 
 _TOL = 1e-8  # largest combination defect of a feasible pair
-_FLOOR = 1e-4  # smallest defect of every restart in an infeasibility certificate
 _MOMENTA = 2.0 * np.pi * np.fft.fftfreq(16)  # the lattice momenta the defect is taken over
 
 
@@ -346,18 +346,22 @@ class GateSolution(NamedTuple):
     seed: int
 
 
+def _defect(a: np.ndarray, b: np.ndarray, zeta: float, mu: float) -> float:
+    """Largest entry of C(p) - target(p) over the 16 _MOMENTA for the blocks a and b."""
+    target = -2j * dirac_form(zeta, mu, _MOMENTA)  # T - T^dag = W^dag - W
+    return float(np.max(np.abs(_momentum_combination(a, b, _MOMENTA) - target)))
+
+
 def _optimize_combination(
     zeta: float, mu: float, starts: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, float, list[float]]:
-    target = -2j * dirac_form(zeta, mu, _MOMENTA)  # T - T^dag = W^dag - W
     best_x, best, finals = None, math.inf, []
     for x0 in starts:
         fit = least_squares(
             _residual, x0, jac=_jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
             args=(zeta, mu),
         )
-        diff = _momentum_combination(_u2(fit.x[:4]), _u2(fit.x[4:]), _MOMENTA) - target
-        defect = float(np.max(np.abs(diff)))
+        defect = _defect(_u2(fit.x[:4]), _u2(fit.x[4:]), zeta, mu)
         finals.append(defect)
         if defect < best:
             best_x, best = fit.x, defect
@@ -380,39 +384,42 @@ def _fix_gauge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> GateSolution:
-    """Search one (A, B) gate pair transporting at speed >= zeta with coupling mu.
+    """Decide whether one (A, B) gate pair transports at speed >= zeta with coupling mu.
 
-    Minimizes the defect of the forward/backward combination against the
-    Dirac target over the 16-point lattice momentum grid, from two analytic
-    warm starts plus ``restarts`` random points in the U(2) x U(2) parameter
-    space.  Each fit runs on the three Fourier coefficients of the
-    combination, whose weighted sum of squares equals the grid's; each
-    restart's defect is the largest deviation over the 16 momenta.
-
-    Exactly realizable speeds form the single point sqrt(1 - mu**2): any
-    nearest-neighbour unitary step saturates the row-normalization bound
+    Exactly realizable speeds form the single point zeta_max = sqrt(1 - mu**2):
+    any nearest-neighbour unitary step saturates the row-normalization bound
     (unitarity forces the Hermitian and anti-Hermitian parts of the transfer
-    block to commute, which pins the speed).  A request strictly below the
-    bound is therefore granted by the saturating circuit: the returned gates
-    carry ``achieved_zeta = sqrt(1 - mu**2) >= zeta`` and ``residual`` is
-    their combination defect.  That saturating fit starts from the exact
-    analytic warm start alone.  A run is 'feasible' when ``residual`` is at
-    most 1e-8.  ``requested_residual`` is the best defect against the
-    literal (zeta, mu) target; for ``zeta`` above the bound it stays above a
-    floor proportional to the excess, and a run is certified 'infeasible'
-    only when every restart converges to a defect >= 1e-4.
-    'undetermined' flags optimizer non-convergence, distinct from a
-    certificate.
+    block to commute, which pins the speed).  So a request at or below the
+    bound is 'feasible', granted by ``canonical_gates(zeta_max, mu)`` itself:
+    ``achieved_zeta`` is zeta_max and ``residual`` the pair's combination
+    defect, its largest deviation over the 16 lattice momenta (at most 1e-8).
 
-    The pair is returned in a fixed gauge: the step is unchanged by
-    B -> B diag(e^{i alpha}, e^{i beta}), A -> diag(e^{-i beta}, e^{-i alpha}) A,
-    so the optimizer stops anywhere along that flat direction.  The returned
-    B has the largest-magnitude entry of each column real and positive, and
-    the rows of A are counter-rotated to match.  For feasible requests, at or
-    below the bound, this is ``canonical_gates(sqrt(1 - mu**2), mu)``.
+    A request above the bound is 'infeasible' by a floor every pair obeys
+    (Bisio, D'Ariano and Tosini, arXiv:1212.2839).  U(2) blocks have
+    |a01| = |a10| = s_a and |a00| = |a11| = c_a, and likewise for B, so
+    |Cp[0,0]| = |Cp[1,1]| = s_a s_b =: x and |C0[0,1]| <= 2 s_b c_a =: 2y with
+    x**2 + y**2 = s_b**2 <= 1.  The sum of squares over the 16 momenta is then
+    S >= 64 (zeta - x)_+**2 + 128 (mu - y)_+**2 >= 64 (hypot(zeta, mu) - 1)**2
+    over 64 complex entries, so every pair's defect is at least hypot(zeta, mu) - 1.
+
+    Either way the literal (zeta, mu) target is fitted as evidence from two
+    analytic warm starts plus ``restarts`` random points in U(2) x U(2), on
+    the combination's three Fourier coefficients (whose weighted sum of
+    squares equals the grid's): each restart's defect is in
+    ``restart_residuals``, the best is ``requested_residual``.  A restart
+    below the floor, taken one ulp low against the rounding of hypot, can
+    only be a bug and makes the run 'undetermined'.
+
+    An infeasible run returns its best fit in a fixed gauge.  The step is
+    unchanged by B -> B diag(e^{i alpha}, e^{i beta}), A -> diag(e^{-i beta},
+    e^{-i alpha}) A, so B's largest-magnitude entry in each column is made real
+    and positive and A's rows are counter-rotated to match; the canonical pair
+    is in that gauge already.
     """
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"zeta must be finite and positive, got {zeta}")
+    if zeta > np.finfo(float).max / _W:  # exactly where _W * zeta, in the fit residual, overflows
+        raise ValueError(f"zeta must be at most {np.finfo(float).max / _W} to keep the fit finite, got {zeta}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
     if restarts < 0:
@@ -424,33 +431,28 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     if zeta <= 1:
         starts.append(_warm_start(zeta, math.sqrt(max(0.0, 1 - zeta**2))))
     starts += [rng.uniform(-math.pi, math.pi, size=8) for _ in range(restarts)]
-
     best_x, requested_best, finals = _optimize_combination(zeta, mu, starts)
-    residual = requested_best
 
     zeta_max = math.sqrt(1.0 - mu * mu)
-    if requested_best > _TOL and zeta <= zeta_max:
-        # request below the attainable speed point: grant it with the
-        # saturating circuit and measure the defect against its own form.
-        # starts[0] is that circuit exactly (speed rigidity)
-        best_x, residual, _ = _optimize_combination(zeta_max, mu, starts[:1])
-
-    if residual <= _TOL:
-        status = "feasible"
-    elif all(r >= _FLOOR for r in finals):
-        status = "infeasible"
+    if zeta <= zeta_max:
+        gate_a, gate_b = canonical_gates(zeta_max, mu)
+        residual = _defect(gate_a.matrix(), gate_b.matrix(), zeta_max, mu)
+        status = "feasible" if residual <= _TOL else "undetermined"
     else:
-        status = "undetermined"
+        a, b = _fix_gauge(_u2(best_x[:4]), _u2(best_x[4:]))
+        gate_a, gate_b = gate_spec("A", 0, a), gate_spec("B", 0, b)
+        residual = requested_best
+        floor = math.nextafter(math.hypot(zeta, mu), 0.0) - 1.0  # one ulp low: hypot rounds
+        status = "infeasible" if min(finals) >= floor else "undetermined"
 
-    a, b = _fix_gauge(_u2(best_x[:4]), _u2(best_x[4:]))
     return GateSolution(
         status=status,
-        gate_a=gate_spec("A", 0, a),
-        gate_b=gate_spec("B", 0, b),
+        gate_a=gate_a,
+        gate_b=gate_b,
         residual=residual,
         # T_B T_A reaches (n, +) from (n+1, +) only through b[0,1] a[0,1] and
         # has no term the other way, so this is that entry of T - T^dag
-        achieved_zeta=float((b[0, 1] * a[0, 1]).real),
+        achieved_zeta=float((gate_b.unitary[0][1] * gate_a.unitary[0][1]).real),
         requested_residual=requested_best,
         restart_residuals=tuple(finals),
         restarts=len(starts),

@@ -313,13 +313,9 @@ def _gates_verify(svg: bool, *, zeta: float = 0.8, mu: float = 0.6, n_sites: int
         "vacuum_phase_im": round(fock.vacuum_phase.imag, 9),
         "anticommutation_defect": _decade_bound(rep.anticommutation_defect()),
     }
-    ok = (
-        solution.status == "feasible"
-        and solution.residual <= 1e-8
-        and fock.max_deviation <= 1e-10
-    )
-    # the solver stops within ~1e-9 of its fixed gauge; 9 decimals, the
-    # precision of achieved_zeta, drop that noise (and -0.0 becomes 0.0)
+    ok = solution.status == "feasible" and fock.max_deviation <= 1e-10
+    # an infeasible fit stops within ~1e-9 of its fixed gauge (feasible gates are exact);
+    # 9 decimals, the precision of achieved_zeta, drop that noise (and -0.0 becomes 0.0)
     gates = gates_mod.gates_to_json(tiles)
     for item in gates:
         item["unitary"] = [[round(x, 9) + 0.0 for x in pair] for pair in item["unitary"]]

@@ -188,6 +188,8 @@ def test_criterion_7_refraction_bound_scan():
 
         infeasible = solve_gates(zeta_max * 1.001, mu, restarts=20, seed=200 + i)
         assert infeasible.status == "infeasible", f"mu={mu:.1f} should certify infeasible"
+        # every pair's defect is at least hypot(zeta, mu) - 1 past the bound
+        assert min(infeasible.restart_residuals) >= math.hypot(zeta_max * 1.001, mu) - 1
         worst_floor = min(worst_floor, min(infeasible.restart_residuals))
     elapsed = time.perf_counter() - start
     ok = worst_feasible <= 1e-8 and worst_floor >= 1e-4 and elapsed < 120.0

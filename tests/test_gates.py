@@ -204,12 +204,47 @@ def test_solve_gates_at_and_over_the_bound():
     assert below.requested_residual > 1e-8  # exact sub-bound row form does not exist
 
 
-def test_solve_gates_just_past_the_bound_is_undetermined():
-    # the defect floor just past the bound (~1.25e-6) lies between the 1e-8
-    # feasibility tolerance and the 1e-4 infeasibility certificate
-    sol = solve_gates(0.8 * (1 + 1e-6), 0.6, restarts=3, seed=0)
+def test_solve_gates_just_past_the_bound_is_infeasible():
+    # the smallest restart (~1.25e-6) is far below 1e-4 but above the proved
+    # floor hypot(zeta, mu) - 1 (~6.4e-7), which certifies the request
+    zeta = 0.8 * (1 + 1e-6)
+    sol = solve_gates(zeta, 0.6, restarts=3, seed=0)
+    assert sol.status == "infeasible"
+    assert math.hypot(zeta, 0.6) - 1 <= min(sol.restart_residuals) < 1e-4
+
+
+@pytest.mark.parametrize("mu", [0.02, 0.1, 0.14])
+def test_solve_gates_a_few_ulps_past_the_bound_is_infeasible(mu):
+    # the floor is a few ulps here, and hypot(zeta, mu) - 1 as rounded can lie
+    # one ulp above the best restart
+    zeta = refraction_bound(mu).zeta_max
+    for _ in range(3):
+        zeta = math.nextafter(zeta, 2.0)
+    assert solve_gates(zeta, mu, restarts=3, seed=0).status == "infeasible"
+
+
+def test_a_restart_below_the_proved_floor_leaves_the_run_undetermined(monkeypatch):
+    # no pair's defect lies below hypot(zeta, mu) - 1, so a restart there is a bug
+    zeta, mu = 0.8 * 1.001, 0.6
+    floor = math.hypot(zeta, mu) - 1
+    real, calls = gates._defect, []
+
+    def injected(*args):
+        calls.append(1)
+        return floor / 2 if len(calls) == 5 else real(*args)
+
+    monkeypatch.setattr(gates, "_defect", injected)
+    sol = solve_gates(zeta, mu, restarts=8, seed=3)
     assert sol.status == "undetermined"
-    assert 1e-8 < min(sol.restart_residuals) < 1e-4
+    assert 1e-8 < min(sol.restart_residuals) == floor / 2 < floor
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-math.pi, math.pi), min_size=8, max_size=8), st.floats(0, 1),
+       st.floats(1 + 1e-6, 2, exclude_min=True))
+def test_every_pair_past_the_bound_respects_the_proved_floor(x, mu, factor):
+    zeta, x = factor * refraction_bound(mu).zeta_max, np.array(x)
+    assert gates._defect(_u2(x[:4]), _u2(x[4:]), zeta, mu) >= math.hypot(zeta, mu) - 1
 
 
 @pytest.mark.parametrize(
@@ -220,13 +255,11 @@ def test_solve_gates_just_past_the_bound_is_undetermined():
 )
 @pytest.mark.parametrize("below", [1.0, 0.9])
 def test_solve_gates_returns_the_fixed_gauge(mu, seed, restarts, below):
-    # at the bound and below it the answer is the saturating pair, and the
-    # fixed gauge makes it the canonical one wherever the optimizer stopped
-    zeta_max = math.sqrt(1 - mu**2)
+    # at the bound and below it the answer is the saturating pair itself, bit for bit
+    zeta_max = refraction_bound(mu).zeta_max
     sol = solve_gates(below * zeta_max, mu, restarts=restarts, seed=seed)
     assert sol.status == "feasible"
-    for got, want in zip((sol.gate_a, sol.gate_b), canonical_gates(zeta_max, mu)):
-        assert np.max(np.abs(got.matrix() - want.matrix())) <= 1e-12
+    assert (sol.gate_a, sol.gate_b) == canonical_gates(zeta_max, mu)
 
 
 @pytest.mark.parametrize("zeta, mu", [(0.8, 0.6), (0.7, 0.6), (0.9, 0.6), (1.0, 0.0), (0.5, 0.95)])
@@ -275,10 +308,10 @@ def test_fourier_residual_gives_the_lattice_normal_equations(x, target):
     assert np.max(np.abs(jac.T @ r - lattice_jac.T @ lattice)) <= 1e-6
 
 
-@pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 23), (1.001, "infeasible", 22)])
-def test_saturating_pass_runs_from_the_warm_start(monkeypatch, factor, status, calls):
-    # a below-bound request runs all 22 starts against its literal target,
-    # then the saturating target from the exact warm start alone
+@pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 22), (1.001, "infeasible", 22)])
+def test_solve_gates_fits_each_start_once(monkeypatch, factor, status, calls):
+    # every request fits its 22 starts against its literal target, and a
+    # below-bound one is then granted by the canonical pair with no further fit
     fits = []
     real = gates.least_squares
 
@@ -290,6 +323,8 @@ def test_saturating_pass_runs_from_the_warm_start(monkeypatch, factor, status, c
     sol = solve_gates(factor * 0.8, 0.6, restarts=20, seed=0)
     assert sol.status == status
     assert len(fits) == calls
+    if status == "feasible":
+        assert (sol.gate_a, sol.gate_b) == canonical_gates(0.8, 0.6)
 
 
 def test_refraction_bound():
