@@ -292,6 +292,7 @@ def _momentum_combination(a: np.ndarray, b: np.ndarray, momenta: np.ndarray) -> 
 
 
 _W = 4.0 * math.sqrt(2.0)  # sqrt(32): weight of an off-diagonal entry of C0 and of each entry of Cp
+_ZETA_CAP = math.sqrt(np.finfo(float).max) / (2.0 * _W)  # two residual entries ~ _W*zeta square-sum to max/2
 
 
 def _coefficients(a: Sequence[complex], b: Sequence[complex]) -> list[float]:
@@ -418,8 +419,8 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     """
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"zeta must be finite and positive, got {zeta}")
-    if zeta > np.finfo(float).max / _W:  # exactly where _W * zeta, in the fit residual, overflows
-        raise ValueError(f"zeta must be at most {np.finfo(float).max / _W} to keep the fit finite, got {zeta}")
+    if zeta > _ZETA_CAP:
+        raise ValueError(f"zeta must be at most {_ZETA_CAP} to keep the fit finite, got {zeta}")
     if not 0.0 <= mu <= 1.0:
         raise ValueError("mu must lie in [0, 1]")
     if restarts < 0:

@@ -87,16 +87,21 @@ def random_state(params: WalkParams, rng: np.random.Generator) -> np.ndarray:
 
 
 def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
-    """Apply the walk unitary once (norm preserved to machine precision)."""
+    """Apply the walk unitary once (norm preserved to machine precision).
+
+    It runs on the contiguous chirality rows of ``state.T`` and returns their
+    transposed view ``out.T``: site-major values, chirality-row memory order.
+    """
     if state.shape != (params.n_sites, 2):
         raise ValueError(f"state shape {state.shape} does not match n_sites={params.n_sites}")
-    moved = params.zeta * state
-    out = 1j * params.mu * state[:, ::-1]
-    out[1:, 0] += moved[:-1, 0]
-    out[:-1, 1] += moved[1:, 1]
-    out[0, 0] += moved[-1, 0]  # the two shifts wrap around the ring
-    out[-1, 1] += moved[0, 1]
-    return out
+    rows = np.asarray(state.T, order="C")
+    moved = params.zeta * rows
+    out = 1j * params.mu * rows[::-1]
+    out[0, 1:] += moved[0, :-1]
+    out[1, :-1] += moved[1, 1:]
+    out[0, 0] += moved[0, -1]  # the two shifts wrap around the ring
+    out[1, -1] += moved[1, 0]
+    return out.T
 
 
 def evolve(state: np.ndarray, params: WalkParams, steps: int) -> np.ndarray:
@@ -249,6 +254,8 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     if not width > 0:  # before the reach estimate and the packet, which divide by it
         raise ValueError(f"width must be positive, got {width}")
     expected_gap = 2.0 * math.acos(np.clip(params.zeta * math.cos(p0), -1.0, 1.0))
+    if params.mu > 0.0 and expected_gap == 0.0:  # zeta * cos(p0) rounded to 1: no step count resolves it
+        raise ValueError(f"mu={params.mu} has a band gap at p0={p0} that rounds to zero")
     if params.mu > 0.0 and steps * expected_gap < 4.0 * math.pi:
         raise ValueError(
             f"steps={steps} resolves frequencies only down to {2 * math.pi / steps:.3g} rad/step; "
@@ -258,16 +265,16 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))
     center = params.n_sites // 2
     positions = np.arange(params.n_sites) - center
-    blocks = momentum_blocks(params, 1)
-    phi = np.fft.ifft(psi, axis=0, norm="ortho")
+    blocks = np.ascontiguousarray(momentum_blocks(params, 1).transpose(1, 2, 0))  # (2, 2, n_sites)
+    phi = np.fft.ifft(psi.T, norm="ortho")  # chirality rows: each FFT runs on a contiguous row
     means = np.empty(steps)
     norms = np.empty(steps)
     for t in range(steps):
-        grid = np.fft.fft(phi, axis=0, norm="ortho")
-        prob = np.sum(np.abs(grid) ** 2, axis=1)
-        means[t] = float(np.dot(positions, prob))
-        norms[t] = float(np.linalg.norm(grid))
-        phi = np.einsum("pij,pj->pi", blocks, phi)
+        grid = np.fft.fft(phi, norm="ortho")
+        prob = np.abs(grid) ** 2
+        means[t] = float(np.dot(positions, prob[0] + prob[1]))
+        norms[t] = float(np.linalg.norm(grid.T.ravel()))  # site-major, the order the norm was summed in
+        phi = np.einsum("ijp,jp->ip", blocks, phi)
     detrended = means - np.polyval(np.polyfit(np.arange(steps), means, 1), np.arange(steps))
     spectrum = np.fft.rfft(detrended)
     spectrum[0] = 0.0

@@ -117,13 +117,14 @@ def test_gates_verify_loads_scipy_on_demand(tmp_path):
     ("zitter", "width=nan", "width must be positive, got nan"),
     ("zitter", "p0=nan", "p0 must be finite, got nan"),
     ("zitter", "p0=inf", "p0 must be finite, got inf"),
+    ("zitter", "mu=1e-9", "mu=1e-09 has a band gap at p0=0.0 that rounds to zero"),
     ("gates_verify", "seed=-1", "seed must be at least 0, got -1"),
     ("bound_scan", "count=abc", "count must be an int, got 'abc'"),
     ("bound_scan", "mu_max=x", "mu_max must be a float, got 'x'"),
     ("bound_scan", "mu_max=inf", "mu_max must lie in [0, 1], got inf"),
     ("bound_scan", "mu_min=-0.5", "mu_min must lie in [0, 1], got -0.5"),
     ("gates_verify", "zeta=inf", "zeta must be finite and positive, got inf"),
-    ("gates_verify", "zeta=4e307", "zeta must be at most 3.177902515384115e+307 to keep the fit finite, got 4e+307"),
+    ("gates_verify", "zeta=4e307", "zeta must be at most 1.1850939885136468e+153 to keep the fit finite, got 4e+307"),
     # 10**15 rows are 7.1 PiB, which no address space holds even where memory is overcommitted
     ("bound_scan", f"count={10**15}", "Unable to allocate"),
     ("gates_verify", "n_sites=0", "n_sites must lie in [1, 5], got 0"),

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,19 @@ def test_solve_gates_just_past_the_bound_is_infeasible():
     sol = solve_gates(zeta, 0.6, restarts=3, seed=0)
     assert sol.status == "infeasible"
     assert math.hypot(zeta, 0.6) - 1 <= min(sol.restart_residuals) < 1e-4
+
+
+def test_solve_gates_fits_up_to_its_zeta_cap_without_overflow():
+    # the residual holds two entries near sqrt(32) * zeta, so scipy's sum of
+    # squares overflows (and warns) from zeta = sqrt(finfo.max / 2) / sqrt(32) on
+    cap = gates._ZETA_CAP
+    assert cap * 1.4 < math.sqrt(np.finfo(float).max / 2) / math.sqrt(32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert solve_gates(0.99 * cap, 0.6, restarts=1, seed=0).status == "infeasible"
+    with pytest.raises(ValueError) as info:
+        solve_gates(1.01 * cap, 0.6, restarts=1, seed=0)
+    assert f"zeta must be at most {cap} to keep the fit finite, got {1.01 * cap}" == str(info.value)
 
 
 @pytest.mark.parametrize("mu", [0.02, 0.1, 0.14])

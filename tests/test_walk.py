@@ -113,6 +113,15 @@ def test_evolve_matches_roll_stencil_bit_for_bit():
     assert np.array_equal(evolve(psi, params, 300), ref)
 
 
+def test_step_reads_its_own_transposed_output_bit_for_bit():
+    # step returns a transposed view of its chirality rows; a C-ordered copy of
+    # that state must step to the same bits
+    params = WalkParams(64, 0.6)
+    once = step(random_state(params, np.random.default_rng(5)), params)
+    assert once.flags.f_contiguous and not once.flags.c_contiguous
+    assert step(once, params).tobytes() == step(np.ascontiguousarray(once), params).tobytes()
+
+
 def _dense_step(params):
     # column k is the walk step applied to the k-th site-major basis state
     basis = np.eye(2 * params.n_sites, dtype=complex).reshape(-1, params.n_sites, 2)
@@ -260,6 +269,31 @@ def test_zitter_frequency_matches_band_gap(mu):
     assert np.max(np.abs(result.norms - 1.0)) < 1e-12
 
 
+def _site_major_zitter(params, p0, width, steps):
+    # the zitter loop on (n_sites, 2) site-major arrays, the bitwise oracle of
+    # zitter_frequency's loop on chirality rows
+    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))
+    positions = np.arange(params.n_sites) - params.n_sites // 2
+    blocks = momentum_blocks(params, 1)
+    phi = np.fft.ifft(psi, axis=0, norm="ortho")
+    means, norms = np.empty(steps), np.empty(steps)
+    for t in range(steps):
+        grid = np.fft.fft(phi, axis=0, norm="ortho")
+        means[t] = float(np.dot(positions, np.sum(np.abs(grid) ** 2, axis=1)))
+        norms[t] = float(np.linalg.norm(grid))
+        phi = np.einsum("pij,pj->pi", blocks, phi)
+    return means, norms
+
+
+@pytest.mark.parametrize("mu", [0.3, 0.6])
+def test_zitter_loop_matches_site_major_oracle_bit_for_bit(mu):
+    params = WalkParams(1024, mu)
+    result = zitter_frequency(params, p0=0.0, width=8.0, steps=1024)
+    means, norms = _site_major_zitter(params, 0.0, 8.0, 1024)
+    assert np.array_equal(result.mean_positions, means)
+    assert np.array_equal(result.norms, norms)
+
+
 def test_zitter_massless_has_no_peak():
     result = zitter_frequency(WalkParams(1024, 0.0), p0=0.0, width=8.0, steps=400)
     assert result.amplitude < 1e-8
@@ -270,6 +304,13 @@ def test_zitter_guards():
         zitter_frequency(WalkParams(1024, 0.6), p0=0.0, width=8.0, steps=5)
     with pytest.raises(ValueError):
         zitter_frequency(WalkParams(128, 0.6), p0=1.2, width=8.0, steps=1024)
+
+
+@pytest.mark.parametrize("mu, steps", [(1e-9, 1024), (1e-300, 2)])
+def test_zitter_rejects_a_band_gap_that_rounds_to_zero(mu, steps):
+    # zeta rounds to 1, so no step count can resolve the oscillation
+    with pytest.raises(ValueError, match=f"mu={mu} has a band gap at p0=0.0 that rounds to zero"):
+        zitter_frequency(WalkParams(1024, mu), p0=0.0, width=8.0, steps=steps)
 
 
 @pytest.mark.parametrize("width", [1e-200, 1e-320, 0.0, -1.0, math.nan])
