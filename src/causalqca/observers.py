@@ -284,9 +284,14 @@ def einstein_clock(spec: ObserverSpec, mirror_separation: int = 1) -> ClockTicTa
     A lightlike signal leaves the near mirror at index 0, reflects off the far
     mirror and returns; both worldlines are counted over the closed leaf-time
     interval [0, m] of the round trip, the same number of events on each mirror.
+    The brackets of a trip that long, about 4 * period * mirror_separation, must
+    stay below 2**53, where floats hold them exactly.
     """
     if mirror_separation < 1:
         raise ValueError("mirror_separation must be at least one leaf event")
+    if 4 * spec.period * mirror_separation >= 2**53:
+        raise ValueError(f"mirror_separation must be at most {(2**53 - 1) // (4 * spec.period)} for the "
+                         f"period-{spec.period} pattern {spec.pattern}, got {mirror_separation}")
     far = spec.far_mirror(mirror_separation)
     # the mirrors are disjoint translates, and v (then u) moves by at most one
     # per index, so each reception lies on the ray that left the other mirror

@@ -248,9 +248,10 @@ def _zitter(svg: bool, *, mu: float = 0.6, p0: float = 0.0, width: float = 8.0, 
         "peak_amplitude": result.amplitude,
         "max_unitarity_defect": _decade_bound(float(np.max(np.abs(result.norms - 1.0)))),
     }
-    ok = abs(result.frequency - expected) <= result.resolution
-    # the norm is a BLAS reduction that moves by an ulp between builds: 12
-    # decimals still show any unitarity defect of 5e-13 or more
+    # one sample per step sees a gap above pi at its alias 2*pi - gap
+    ok = abs(result.frequency - min(expected, 2.0 * math.pi - expected)) <= result.resolution
+    # the norm drifts from 1 by the steps' last-ulp rounding, which no build
+    # promises: 12 decimals still show any unitarity defect of 5e-13 or more
     norms = [round(float(n), 12) for n in result.norms]
     rows = [[t, x, n] for t, (x, n) in enumerate(zip(result.mean_positions, norms))]
     return summary, ok, {"zitter_series.csv": (["t", "mean_x", "norm"], rows)}

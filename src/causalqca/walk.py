@@ -243,9 +243,10 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     oscillates at the band gap 2 E(p0) on top of the group drift.  (The
     in-phase pair (1, 1) is an eigenvector of the coupling and shows no
     oscillation.)  The frequency is read off the discrete Fourier transform
-    of <x>(t); ``steps`` must cover at least two expected oscillation
-    periods, otherwise the spectral resolution 2*pi/steps cannot isolate the
-    peak.
+    of <x>(t), sampled once per step, so a gap g = 2 E(p0) above pi shows at
+    its alias 2*pi - g: the peak lies at the folded gap min(g, 2*pi - g).
+    ``steps`` must cover at least two periods of the folded gap, otherwise
+    the spectral resolution 2*pi/steps cannot isolate the peak.
     """
     if not math.isfinite(p0):
         raise ValueError(f"p0 must be finite, got {p0}")
@@ -253,28 +254,26 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
         raise ValueError(f"steps must be at least 2, got {steps}")
     if not width > 0:  # before the reach estimate and the packet, which divide by it
         raise ValueError(f"width must be positive, got {width}")
-    expected_gap = 2.0 * math.acos(np.clip(params.zeta * math.cos(p0), -1.0, 1.0))
-    if params.mu > 0.0 and expected_gap == 0.0:  # zeta * cos(p0) rounded to 1: no step count resolves it
-        raise ValueError(f"mu={params.mu} has a band gap at p0={p0} that rounds to zero")
-    if params.mu > 0.0 and steps * expected_gap < 4.0 * math.pi:
+    gap = 2.0 * math.acos(np.clip(params.zeta * math.cos(p0), -1.0, 1.0))
+    folded = min(gap, 2.0 * math.pi - gap)  # the alias that one sample per step sees
+    if params.mu > 0.0 and folded == 0.0:  # zeta * cos(p0) rounded to +-1: no step count resolves it
+        how = "rounds" if gap == 0.0 else "aliases"
+        raise ValueError(f"mu={params.mu} has a band gap at p0={p0} that {how} to zero")
+    if params.mu > 0.0 and steps * folded < 4.0 * math.pi:
         raise ValueError(
             f"steps={steps} resolves frequencies only down to {2 * math.pi / steps:.3g} rad/step; "
-            f"need at least {math.ceil(4 * math.pi / expected_gap)} steps for this packet"
+            f"need at least {math.ceil(4 * math.pi / folded)} steps for this packet"
         )
     _check_packet_stays_on_ring(params, p0, width, steps)
     psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))
-    center = params.n_sites // 2
-    positions = np.arange(params.n_sites) - center
-    blocks = np.ascontiguousarray(momentum_blocks(params, 1).transpose(1, 2, 0))  # (2, 2, n_sites)
-    phi = np.fft.ifft(psi.T, norm="ortho")  # chirality rows: each FFT runs on a contiguous row
+    positions = np.arange(params.n_sites) - params.n_sites // 2
     means = np.empty(steps)
     norms = np.empty(steps)
     for t in range(steps):
-        grid = np.fft.fft(phi, norm="ortho")
-        prob = np.abs(grid) ** 2
-        means[t] = float(np.dot(positions, prob[0] + prob[1]))
-        norms[t] = float(np.linalg.norm(grid.T.ravel()))  # site-major, the order the norm was summed in
-        phi = np.einsum("ijp,jp->ip", blocks, phi)
+        prob = np.sum(np.abs(psi) ** 2, axis=1)
+        means[t] = float(np.sum(positions * prob))
+        norms[t] = math.sqrt(np.sum(prob))
+        psi = step(psi, params)
     detrended = means - np.polyval(np.polyfit(np.arange(steps), means, 1), np.arange(steps))
     spectrum = np.fft.rfft(detrended)
     spectrum[0] = 0.0

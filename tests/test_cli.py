@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -118,6 +120,11 @@ def test_gates_verify_loads_scipy_on_demand(tmp_path):
     ("zitter", "p0=nan", "p0 must be finite, got nan"),
     ("zitter", "p0=inf", "p0 must be finite, got inf"),
     ("zitter", "mu=1e-9", "mu=1e-09 has a band gap at p0=0.0 that rounds to zero"),
+    ("zitter", "mu=1e-9 p0=3.141592653589793",
+     "mu=1e-09 has a band gap at p0=3.141592653589793 that aliases to zero"),
+    # 2**49: the brackets of the period-4 clock reach 4 * 4 * 2**49 = 2**53, where floats stop counting
+    ("fig1", "separation=562949953421312",
+     "mirror_separation must be at most 562949953421311 for the period-4 pattern RRRL, got 562949953421312"),
     ("gates_verify", "seed=-1", "seed must be at least 0, got -1"),
     ("bound_scan", "count=abc", "count must be an int, got 'abc'"),
     ("bound_scan", "mu_max=x", "mu_max must be a float, got 'x'"),
@@ -219,6 +226,18 @@ def test_fig1_draws_each_mirror_where_the_clock_counts_it(settings, tmp_path, mo
         assert far_origin in drawn[f"{label} mirror"]
 
 
+def test_fig1_counts_just_below_the_float_bound(tmp_path):
+    # the RRRL clock's brackets stay below 2**53, one separation short of the rejected value
+    assert main(["run", "--recipe", "fig1", "--set", f"separation={2**49 - 1}", "--out", str(tmp_path)]) == 0
+
+
+def test_zitter_passes_with_a_gap_above_pi(tmp_path):
+    # the gap 4.53 rad/step is seen at its alias 1.75
+    assert main(["run", "--recipe", "zitter", "--set", "p0=2.5", "--set", "steps=256",
+                 "--set", "n_sites=512", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "zitter.json").read_text())["summary"]["expected_band_gap"] > math.pi
+
+
 @pytest.mark.parametrize("pattern", ["LLLR", "LLR", "LLLLR"])
 def test_fig1_mirrored_pattern_passes(pattern, tmp_path):
     assert main(["run", "--recipe", "fig1", "--set", f"boosted_pattern={pattern}",
@@ -294,6 +313,35 @@ def test_golden_outputs(name, tmp_path):
     for frozen in sorted((GOLDEN_DIR / name).iterdir()):
         fresh = tmp_path / frozen.name
         assert fresh.read_bytes() == frozen.read_bytes(), f"{name}/{frozen.name} drifted"
+
+
+def _switch_value(switch: str) -> str | None:
+    """The value of a per-process switch that moves numpy or OpenBLAS off this CPU's best kernels.
+
+    numpy refuses to import with a baseline feature disabled and ignores names
+    it does not know, so its switch names only the features it dispatches and
+    finds here; OpenBLAS's Haswell kernels need AVX2.
+    """
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath  # numpy 2 renamed core
+    found = umath.__cpu_features__
+    if switch == "NPY_DISABLE_CPU_FEATURES":
+        return ",".join(f for f in umath.__cpu_dispatch__ if found.get(f) and f not in umath.__cpu_baseline__)
+    return "Haswell" if found.get("AVX2") else None
+
+
+@pytest.mark.parametrize("switch", ["NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE"])
+def test_golden_outputs_hold_under_cpu_switches(switch, tmp_path):
+    # dispersion and lorentz_fit still move by an ulp under these switches (ROADMAP item 2)
+    params = {name: p for name, p in GOLDEN_PARAMS.items() if name not in ("dispersion", "lorentz_fit")}
+    value = _switch_value(switch)
+    env = _child_env() if value is None else {**_child_env(), switch: value}
+    code = ("import json, sys\nfrom causalqca.recipes import run_recipe\n"
+            "for name, p in json.loads(sys.argv[1]).items():\n    run_recipe(name, p, sys.argv[2] + '/' + name)\n")
+    subprocess.run([sys.executable, "-c", code, json.dumps(params), str(tmp_path)],
+                   check=True, capture_output=True, env=env)
+    drifted = [f"{name}/{frozen.name}" for name in params for frozen in sorted((GOLDEN_DIR / name).iterdir())
+               if (tmp_path / name / frozen.name).read_bytes() != frozen.read_bytes()]
+    assert drifted == [], f"{switch}={value}"
 
 
 def test_constants_file_override(tmp_path, monkeypatch):
