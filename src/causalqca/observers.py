@@ -233,34 +233,35 @@ def fit_lorentz(mapping: np.ndarray) -> BoostFit:
     in the symmetric two-parameter form plus the translation freedom needed
     when the two chains do not share an origin.  Returns the fitted beta and
     gamma = g, the largest absolute residual, the determinant of the linear
-    part (1 for an exact boost) and the translation (ct, cx).
+    part (1 for an exact boost) and the translation (ct, cx).  The boost is
+    diagonal on light-cone coordinates u = t + x, v = t - x: uB = k_u uA + c_u and
+    vB = k_v vA + c_v with the Doppler factors k_u, k_v = g -+ g*beta of Bondi's
+    k-calculus (D'Ariano and Tosini, arXiv:1008.4805).  The (t, x) sum of squares
+    is half the (u, v) one, so these two line fits solve the same problem.
     """
     m = np.asarray(mapping, dtype=float)
     if m.ndim != 2 or m.shape[1] != 4 or m.shape[0] < 8:
         raise ValueError("mapping must be an (N >= 8, 4) array of (tA, xA, tB, xB)")
     if not np.isfinite(m).all():
         raise ValueError("mapping must be finite: a chart coordinate is inf or nan")
-    ta, xa, tb, xb = m.T
-    n = len(ta)
-    zeros = np.zeros(n)
-    ones = np.ones(n)
-    # unknowns (g, b, ct, cx); rows: tB = g*tA + b*xA + ct, xB = b*tA + g*xA + cx
-    design = np.block([[ta[:, None], xa[:, None], ones[:, None], zeros[:, None]],
-                       [xa[:, None], ta[:, None], zeros[:, None], ones[:, None]]])
-    target = np.concatenate([tb, xb])
-    # columns scaled to a largest entry of 1: lstsq's rcond then weighs the chart and
-    # translation columns alike at any chart scale, and the max norm cannot overflow
-    scale = np.max(np.abs(design), axis=0)
-    scale[scale == 0.0] = 1.0  # an all-zero chart column stays zero and fails the rank check
-    scaled, _, rank, _ = np.linalg.lstsq(design / scale, target, rcond=None)
-    if rank < 4:
+    sa, sb = (float(np.max(np.abs(chart))) or 1.0 for chart in (m[:, :2], m[:, 2:]))
+    ta, xa, tb, xb = (m / [sa, sa, sb, sb]).T  # each chart scaled to a largest coordinate of 1
+    (k_u, c_u, r_u), (k_v, c_v, r_v) = (_line_fit(ta + s * xa, tb + s * xb) for s in (1.0, -1.0))
+    k_u, k_v = k_u * (sb / sa), k_v * (sb / sa)
+    # the (t, x) residuals are (r_u + r_v) / 2 and (r_u - r_v) / 2; the larger is (|r_u| + |r_v|) / 2
+    return BoostFit(beta=(k_v - k_u) / (k_v + k_u), gamma=(k_u + k_v) / 2,
+                    max_residual=float(np.max(np.abs(r_u) + np.abs(r_v))) / 2 * sb,
+                    determinant=k_u * k_v, offset=((c_u + c_v) / 2 * sb, (c_u - c_v) / 2 * sb))
+
+
+def _line_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Least-squares slope, intercept and residuals of b against a, with math.fsum sums."""
+    if a.min() == a.max():
         raise ValueError("degenerate sample set: events do not span the chart plane")
-    sol = scaled / scale
-    g, b, ct, cx = sol
-    residuals = target - design @ sol
-    return BoostFit(beta=float(-b / g), gamma=float(g),
-                    max_residual=float(np.max(np.abs(residuals))),
-                    determinant=float(g * g - b * b), offset=(float(ct), float(cx)))
+    mx, my = math.fsum(a.tolist()) / len(a), math.fsum(b.tolist()) / len(b)
+    dx, dy = a - mx, b - my
+    slope = math.fsum((dx * dy).tolist()) / math.fsum((dx * dx).tolist())
+    return slope, my - slope * mx, dy - slope * dx
 
 
 def velocity_addition(beta_ab: float, beta_bc: float) -> float:

@@ -240,7 +240,7 @@ def _zitter(svg: bool, *, mu: float = 0.6, p0: float = 0.0, width: float = 8.0, 
     """position-jitter frequency of a two-band wavepacket"""
     walk = WalkParams(n_sites, mu)
     result = zitter_frequency(walk, p0, width, steps)
-    expected = 2.0 * math.acos(max(-1.0, min(1.0, walk.zeta * math.cos(p0))))
+    expected = 2.0 * math.acos(walk.zeta * math.cos(p0))
     summary = {
         "zitter_peak": result.frequency,
         "expected_band_gap": expected,

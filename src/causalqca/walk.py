@@ -122,6 +122,15 @@ def dirac_form(zeta: float, mu: float, momenta: np.ndarray) -> np.ndarray:
     return (zeta * np.sin(momenta))[:, None, None] * _SIGMA_Z + mu * _SIGMA_X
 
 
+def _band(zeta: float, momenta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E(p) = acos(zeta cos p) and sin E = sqrt(1 - (zeta cos p)**2) per momentum, in scalar libm.
+
+    No clip: zeta <= 1 keeps |zeta cos p| <= 1 in floats.  sin E is 0 only where W(p) = +/- I.
+    """
+    cos_e = [zeta * math.cos(p) for p in momenta]
+    return np.array([math.acos(c) for c in cos_e]), np.array([math.sqrt(1.0 - c * c) for c in cos_e])
+
+
 def momentum_blocks(params: WalkParams, power: int = 1) -> np.ndarray:
     """W(p)**power for every lattice momentum, shape (n_sites, 2, 2).
 
@@ -129,18 +138,11 @@ def momentum_blocks(params: WalkParams, power: int = 1) -> np.ndarray:
     :func:`dirac_form`, valid for any integer power.
     """
     p = params.momenta()
-    cos_e = params.zeta * np.cos(p)
-    sin_e = np.sqrt(np.maximum(0.0, 1.0 - cos_e**2))
-    angle = power * np.arccos(np.clip(cos_e, -1.0, 1.0))
-    a = dirac_form(params.zeta, params.mu, p)
-    eye = np.eye(2, dtype=complex)
-    safe = np.where(sin_e > 1e-300, sin_e, 1.0)
-    unit = a / safe[:, None, None]
-    blocks = np.cos(angle)[:, None, None] * eye + 1j * np.sin(angle)[:, None, None] * unit
-    # sin E == 0 only where W(p) = +/- I exactly
-    degenerate = sin_e == 0.0
-    if np.any(degenerate):
-        blocks[degenerate] = (np.sign(cos_e[degenerate]) ** abs(power))[:, None, None] * eye
+    energy, sin_e = _band(params.zeta, p)
+    unit = 1j * dirac_form(params.zeta, params.mu, p) / np.where(sin_e > 0, sin_e, 1.0)[:, None, None]
+    blocks = np.cos(power * energy)[:, None, None] * np.eye(2) + np.sin(power * energy)[:, None, None] * unit
+    flat = sin_e == 0.0  # W(p) = I at E = 0 and -I at E = pi
+    blocks[flat] = np.where(energy[flat] == 0.0, 1.0, (-1.0) ** power)[:, None, None] * np.eye(2)
     return blocks
 
 
@@ -164,11 +166,9 @@ def dispersion(params: WalkParams) -> DispersionTable:
     momenta where sin E vanishes (massless band edges, where E has a kink).
     """
     p = np.sort(params.momenta())
-    cos_e = params.zeta * np.cos(p)
-    energy = np.arccos(np.clip(cos_e, -1.0, 1.0))
-    sin_e = np.sin(energy)
-    group = np.where(sin_e > 1e-14, params.zeta * np.sin(p) / np.where(sin_e > 1e-14, sin_e, 1.0), 0.0)
-    return DispersionTable(p, energy, group)
+    energy, sin_e = _band(params.zeta, p)
+    group = [params.zeta * math.sin(q) / s if s > 0 else 0.0 for q, s in zip(p.tolist(), sin_e.tolist())]
+    return DispersionTable(p, energy, np.array(group))
 
 
 def group_velocity_max(params: WalkParams) -> tuple[float, float]:
@@ -248,13 +248,13 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     ``steps`` must cover at least two periods of the folded gap, otherwise
     the spectral resolution 2*pi/steps cannot isolate the peak.
     """
-    if not math.isfinite(p0):
-        raise ValueError(f"p0 must be finite, got {p0}")
+    if not -math.pi <= p0 <= math.pi:  # the wrap guard looks p0 up on the lattice momenta
+        raise ValueError(f"p0 must lie in [-pi, pi], got {p0}")
     if steps < 2:  # the linear detrend needs two samples
         raise ValueError(f"steps must be at least 2, got {steps}")
     if not width > 0:  # before the reach estimate and the packet, which divide by it
         raise ValueError(f"width must be positive, got {width}")
-    gap = 2.0 * math.acos(np.clip(params.zeta * math.cos(p0), -1.0, 1.0))
+    gap = 2.0 * math.acos(params.zeta * math.cos(p0))
     folded = min(gap, 2.0 * math.pi - gap)  # the alias that one sample per step sees
     if params.mu > 0.0 and folded == 0.0:  # zeta * cos(p0) rounded to +-1: no step count resolves it
         how = "rounds" if gap == 0.0 else "aliases"
@@ -304,10 +304,8 @@ def effective_hamiltonian_check(params: WalkParams, k: int) -> float:
     backward = np.conj(np.swapaxes(forward, 1, 2))  # W**-k = (W**k)^dagger
     generator = 1j * (backward - forward) / (2.0 * k)
 
-    cos_e = params.zeta * np.cos(p)
-    energy = np.arccos(np.clip(cos_e, -1.0, 1.0))
-    sin_e = np.sin(energy)
-    ratio = np.where(sin_e > 1e-14, np.sin(k * energy) / (k * np.where(sin_e > 1e-14, sin_e, 1.0)), 1.0)
+    energy, sin_e = _band(params.zeta, p)
+    ratio = np.where(sin_e > 0, np.sin(k * energy) / (k * np.where(sin_e > 0, sin_e, 1.0)), 1.0)
     target = ratio[:, None, None] * dirac_form(params.zeta, params.mu, p)
     return float(np.max(np.abs(generator - target)))
 

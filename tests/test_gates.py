@@ -139,7 +139,7 @@ def test_compose_row_unitary_for_random_gates():
         assert np.max(np.abs(t.conj().T @ t - np.eye(8))) < 1e-12
 
 
-def test_extract_row_amplitudes():
+def test_compose_row_plus_row_entries():
     # the plus row of site n: stay-put at (n, +), shift at (n + 1, +), mixing at (n, -)
     n = 6
     stay, shift, minus = (mode_index(3, "+", n), mode_index(4, "+", n), mode_index(3, "-", n))

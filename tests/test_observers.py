@@ -229,6 +229,31 @@ def test_fit_lorentz_recovers_synthetic_boost():
         assert fit.offset == (pytest.approx(1.5, abs=1e-10), pytest.approx(-2.0, abs=1e-10))
 
 
+@settings(max_examples=100)
+@given(st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.floats(-50.0, 50.0), st.floats(-50.0, 50.0),
+       st.integers(-300, 300))
+def test_fit_lorentz_recovers_light_cone_maps_at_any_scale(k_u, k_v, c_u, c_v, s):
+    # uB = k_u uA + c_u and vB = k_v vA + c_v on light-cone coordinates u = t + x,
+    # v = t - x of a chart at scale 10**s: the boost g = (k_u + k_v) / 2,
+    # g beta = (k_v - k_u) / 2 with determinant k_u k_v, shifted by (ct, cx)
+    scale = 10.0**s
+    rows = []
+    for e in Window.centered(8, 8).events():
+        ta, xa = e.t * scale, e.x * scale
+        ub, vb = k_u * (ta + xa) + c_u * scale, k_v * (ta - xa) + c_v * scale
+        rows.append((ta, xa, (ub + vb) / 2, (ub - vb) / 2))
+    mapping = np.array(rows)
+    fit = fit_lorentz(mapping)
+    assert fit.beta == pytest.approx((k_v - k_u) / (k_v + k_u), rel=1e-12, abs=1e-12)
+    assert fit.gamma == pytest.approx((k_u + k_v) / 2, rel=1e-12)
+    assert fit.determinant == pytest.approx(k_u * k_v, rel=1e-12)
+    # offsets and residual against the extent of the chart
+    extent = float(np.max(np.abs(mapping)))
+    assert fit.offset[0] == pytest.approx((c_u + c_v) / 2 * scale, abs=1e-12 * extent)
+    assert fit.offset[1] == pytest.approx((c_u - c_v) / 2 * scale, abs=1e-12 * extent)
+    assert fit.max_residual <= 1e-12 * extent
+
+
 def test_fit_lorentz_rejects_bad_samples():
     with pytest.raises(ValueError):
         fit_lorentz(np.zeros((4, 4)))  # too few points

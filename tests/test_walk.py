@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -222,12 +223,15 @@ def test_dispersion_examples():
     massless = dispersion(WalkParams(64, 0.0))
     assert np.allclose(massless.energy, np.abs(massless.momenta), atol=1e-12)
 
-    # bands are even in momentum (skip -pi, which has no +pi partner on the grid)
-    sym = dispersion(WalkParams(64, 0.3))
-    for p, e in zip(sym.momenta, sym.energy):
-        j = int(np.argmin(np.abs(sym.momenta + p)))
-        if abs(sym.momenta[j] + p) < 1e-12:
-            assert e == pytest.approx(sym.energy[j], abs=1e-12)
+    # bands are even and group velocities odd in momentum, bit for bit; the sorted
+    # grid holds -pi (no +pi partner), the negative momenta, 0 and their mirror images
+    for n_sites in (2, 16, 64, 250, 1024):
+        for mu in np.linspace(0.0, 1.0, 41):
+            table = dispersion(WalkParams(n_sites, mu))
+            neg, pos = slice(n_sites // 2 - 1, 0, -1), slice(n_sites // 2 + 1, None)
+            assert table.momenta[neg].tobytes() == (-table.momenta[pos]).tobytes()
+            assert table.energy[neg].tobytes() == table.energy[pos].tobytes()
+            assert table.group_velocity[neg].tobytes() == (-table.group_velocity[pos]).tobytes()
 
 
 @pytest.mark.parametrize("mu,expected", [(0.0, 1.0), (0.6, 0.8), (1.0, 0.0)])
@@ -307,6 +311,12 @@ def test_zitter_guards():
     # at p0 = pi the gap 5.0 rad/step is seen at its alias 1.29, which 5 steps cannot resolve
     with pytest.raises(ValueError, match="need at least 10 steps"):
         zitter_frequency(WalkParams(1024, 0.6), p0=math.pi, width=8.0, steps=5)
+    # 4 - 2*pi wraps (reach 162 sites), so 4 must not pass on the band read at 3.14
+    with pytest.raises(ValueError, match="estimated reach 162 sites"):
+        zitter_frequency(WalkParams(256, 0.6), p0=4.0 - 2.0 * math.pi, width=6.0, steps=150)
+    for p0 in (4.0, 1e308):
+        with pytest.raises(ValueError, match=re.escape(f"p0 must lie in [-pi, pi], got {p0}")):
+            zitter_frequency(WalkParams(256, 0.6), p0=p0, width=6.0, steps=150)
 
 
 @pytest.mark.parametrize("mu, steps", [(1e-9, 1024), (1e-300, 2)])
