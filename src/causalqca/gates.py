@@ -18,7 +18,7 @@ and row normalization of the unitary T bounds the flow speed by
 a trigonometric polynomial of degree one, C(p) = C0 + Cp e^{ip} - Cp^dag e^{-ip},
 so the fits that back the decision run on those three Fourier coefficients;
 the defect they report is still the largest deviation over the 16 lattice
-momenta.
+momenta.  Each fit is one MINPACK lmder call through ``leastsq``.
 
 Everything is cross-checked against an exact Fock representation on short
 chains: mode operators are built as strings of Pauli z factors ending in a
@@ -27,7 +27,8 @@ sparse product ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal
 modes b_k, since those number operators are commuting projectors.  Vacuum
 invariance and anticommutation are verified brute force, gate locality
 against the closed form 1, T^dag, conj(det T) on 0, 1 and 2 particles.
-scipy loads on the first solve or oracle call, not with this module.
+scipy loads on the first solve or oracle call, not with this module; its
+``least_squares``, ``expm`` and ``logm`` are stand-ins only perfbench/tracer.py calls.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ def _scipy(module: str, name: str):
     return call
 
 
-least_squares, schur = _scipy("scipy.optimize", "least_squares"), _scipy("scipy.linalg", "schur")
-expm, logm = _scipy("scipy.linalg", "expm"), _scipy("scipy.linalg", "logm")  # only for perfbench/tracer.py
+leastsq, least_squares = _scipy("scipy.optimize", "leastsq"), _scipy("scipy.optimize", "least_squares")
+schur, expm, logm = (_scipy("scipy.linalg", name) for name in ("schur", "expm", "logm"))
 
 
 def mode_index(site: int, chirality: str, n_sites: int) -> int:
@@ -264,10 +265,10 @@ def _u2(params: Sequence[float]) -> np.ndarray:
     return np.array(_u2_entries(params)).reshape(2, 2)
 
 
-def _u2_derivatives(params: Sequence[float]) -> tuple[tuple[complex, ...], ...]:
-    """d _u2_entries / d(phase, theta, alpha, beta): one entry tuple per parameter."""
+def _u2_derivatives(params: Sequence[float], entries: Sequence[complex]) -> tuple[tuple[complex, ...], ...]:
+    """d _u2_entries / d(phase, theta, alpha, beta) from the entries at params: one tuple per parameter."""
     phase, theta, alpha, beta = params
-    u00, u01, u10, u11 = _u2_entries(params)
+    u00, u01, u10, u11 = entries
     return ((1j * u00, 1j * u01, 1j * u10, 1j * u11),
             _u2_entries((phase, theta + math.pi / 2, alpha, beta)),  # (cos, sin) -> (-sin, cos)
             (1j * u00, 0j, 0j, -1j * u11),
@@ -324,11 +325,11 @@ def _residual(x: np.ndarray, zeta: float, mu: float) -> np.ndarray:
 
 
 def _jacobian(x: np.ndarray, zeta: float, mu: float) -> np.ndarray:
-    """d _residual / dx, shape (10, 8): _coefficients(dA, B) for A's parameters, (A, dB) for B's."""
+    """d _residual / dx by columns, shape (8, 10): _coefficients(dA, B) for A's parameters, (A, dB) for B's."""
     x = x.tolist()
     a, b = _u2_entries(x[:4]), _u2_entries(x[4:])
-    columns = [_coefficients(da, b) for da in _u2_derivatives(x[:4])]
-    return np.array(columns + [_coefficients(a, db) for db in _u2_derivatives(x[4:])]).T
+    columns = [_coefficients(da, b) for da in _u2_derivatives(x[:4], a)]
+    return np.array(columns + [_coefficients(a, db) for db in _u2_derivatives(x[4:], b)])
 
 
 _TOL = 1e-8  # largest combination defect of a feasible pair
@@ -358,14 +359,13 @@ def _optimize_combination(
 ) -> tuple[np.ndarray, float, list[float]]:
     best_x, best, finals = None, math.inf, []
     for x0 in starts:
-        fit = least_squares(
-            _residual, x0, jac=_jacobian, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            args=(zeta, mu),
-        )
-        defect = _defect(_u2(fit.x[:4]), _u2(fit.x[4:]), zeta, mu)
+        # full_output keeps a stop at maxfev silent; diag=None scales by column norms
+        x = leastsq(_residual, x0, args=(zeta, mu), Dfun=_jacobian, full_output=True, col_deriv=1,
+                    ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=800, factor=100, diag=None)[0]
+        defect = _defect(_u2(x[:4]), _u2(x[4:]), zeta, mu)
         finals.append(defect)
         if defect < best:
-            best_x, best = fit.x, defect
+            best_x, best = x, defect
     return best_x, best, finals
 
 
@@ -406,8 +406,11 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     Either way the literal (zeta, mu) target is fitted as evidence from two
     analytic warm starts plus ``restarts`` random points in U(2) x U(2), on
     the combination's three Fourier coefficients (whose weighted sum of
-    squares equals the grid's): each restart's defect is in
-    ``restart_residuals``, the best is ``requested_residual``.  A restart
+    squares equals the grid's), by MINPACK's lmder through ``leastsq`` with
+    column-norm scaling, so the fits do not follow ``least_squares``'
+    default ``x_scale``, which scipy 1.16 changed.  Each restart's defect is
+    in ``restart_residuals``, the best is ``requested_residual``; both repeat
+    bit for bit within a process, not always between processes.  A restart
     below the floor, taken one ulp low against the rounding of hypot, can
     only be a bug and makes the run 'undetermined'.
 
@@ -551,12 +554,5 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
 
 def gates_to_json(gates: Sequence[GateSpec]) -> list[dict]:
     """Serialize gates as {kind, site, unitary: [[re, im] x 4]} (row-major)."""
-    out = []
-    for g in gates:
-        u = g.matrix().ravel()
-        out.append({
-            "kind": g.kind,
-            "site": g.site,
-            "unitary": [[float(z.real), float(z.imag)] for z in u],
-        })
-    return out
+    return [{"kind": g.kind, "site": g.site,
+             "unitary": [[float(z.real), float(z.imag)] for z in g.matrix().ravel()]} for g in gates]

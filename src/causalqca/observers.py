@@ -248,6 +248,8 @@ def fit_lorentz(mapping: np.ndarray) -> BoostFit:
     ta, xa, tb, xb = (m / [sa, sa, sb, sb]).T  # each chart scaled to a largest coordinate of 1
     (k_u, c_u, r_u), (k_v, c_v, r_v) = (_line_fit(ta + s * xa, tb + s * xb) for s in (1.0, -1.0))
     k_u, k_v = k_u * (sb / sa), k_v * (sb / sa)
+    if k_u + k_v == 0.0:  # e.g. a B chart that collapses to a point: no boost carries it
+        raise ValueError("degenerate sample set: the fitted map has k_u + k_v = 0 and no boost")
     # the (t, x) residuals are (r_u + r_v) / 2 and (r_u - r_v) / 2; the larger is (|r_u| + |r_v|) / 2
     return BoostFit(beta=(k_v - k_u) / (k_v + k_u), gamma=(k_u + k_v) / 2,
                     max_residual=float(np.max(np.abs(r_u) + np.abs(r_v))) / 2 * sb,

@@ -260,6 +260,9 @@ def test_fit_lorentz_rejects_bad_samples():
     line = np.array([[t, t, t, t] for t in range(10)], dtype=float)
     with pytest.raises(ValueError):
         fit_lorentz(line)  # collinear through the origin
+    collapsed = np.array([[t, (t * 7) % 5 - 2, 0, 0] for t in range(10)], dtype=float)
+    with pytest.raises(ValueError, match="degenerate sample set"):
+        fit_lorentz(collapsed)  # A spans its chart, B is one point: k_u + k_v = 0
 
 
 def test_emergent_boost_fits():
