@@ -21,12 +21,12 @@ the defect they report is still the largest deviation over the 16 lattice
 momenta.  Each fit is one MINPACK lmder call through ``leastsq``.
 
 Everything is cross-checked against an exact Fock representation on short
-chains: mode operators are built as strings of Pauli z factors ending in a
-lowering operator, and a gate with generator h = V diag(d) V^dag becomes the
-sparse product ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal
-modes b_k, since those number operators are commuting projectors.  Vacuum
-invariance and anticommutation are verified brute force, gate locality
-against the closed form 1, T^dag, conj(det T) on 0, 1 and 2 particles.
+chains: Jordan-Wigner mode operators are signed index maps, and the step is
+the product of each gate's closed form 1, T^dag, conj(det T) on 0, 1 and 2
+particles of its two adjacent wires, embedded as an index map.  The transfer
+action, vacuum invariance and anticommutation are verified brute force on
+all modes at once, and each block's closed form against the sparse product
+``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal modes b_k.
 scipy loads on the first solve or oracle call, not with this module; its
 ``least_squares``, ``expm`` and ``logm`` are stand-ins only perfbench/tracer.py calls.
 """
@@ -72,17 +72,13 @@ def mode_index(site: int, chirality: str, n_sites: int) -> int:
     return 2 * site + (0 if chirality == PLUS else 1)
 
 
-def _kron_chain(ops: Sequence[sparse.spmatrix]) -> sparse.csr_matrix:
+def _jw_mode(mode: int, n_modes: int) -> sparse.csr_matrix:
+    """phi_mode as a signed index map: it clears the mode's bit, signed by the parity of the bits above it."""
     from scipy import sparse
-    out = ops[0]
-    for op in ops[1:]:
-        out = sparse.kron(out, op, format="csr")
-    return out
-
-
-def _jw_sparse(mode: int, n_modes: int) -> sparse.csr_matrix:
-    sz, lower = np.diag([1.0, -1.0]).astype(complex), np.array([[0, 1], [0, 0]], dtype=complex)
-    return _kron_chain([sz] * mode + [lower] + [np.eye(2, dtype=complex)] * (n_modes - mode - 1))
+    signs = np.array([(-1.0) ** bin(k).count("1") for k in range(2**mode)], dtype=complex)
+    shift = n_modes - mode - 1
+    rows = np.flatnonzero((np.arange(2**n_modes) >> shift) & 1 == 0)  # the mode is empty in these rows
+    return sparse.csr_matrix((signs[rows >> (shift + 1)], (rows, rows | (1 << shift))), shape=(2**n_modes,) * 2)
 
 
 class FockRep:
@@ -94,30 +90,31 @@ class FockRep:
         self.n_sites = n_sites
         self.n_modes = 2 * n_sites
         self.dim = 2**self.n_modes
-        self.modes = [_jw_sparse(m, self.n_modes) for m in range(self.n_modes)]
+        self.modes = [_jw_mode(m, self.n_modes) for m in range(self.n_modes)]
         self.vacuum = np.zeros(self.dim, dtype=complex)
         self.vacuum[0] = 1.0  # all modes empty
         self.vacuum.flags.writeable = False  # fock_rep shares it
 
     def anticommutation_defect(self) -> float:
-        """Largest deviation from {phi_i, phi_j^dag} = delta_ij, {phi_i, phi_j} = 0."""
+        """Largest deviation from {phi_i, phi_j^dag} = delta_ij, {phi_i, phi_j} = 0, all pairs at once."""
         from scipy import sparse
-        worst = 0.0
-        eye = sparse.identity(self.dim, dtype=complex, format="csr")
-        for i, a in enumerate(self.modes):
-            for j, b in enumerate(self.modes):
-                mixed = a @ b.getH() + b.getH() @ a - (eye if i == j else 0.0)
-                plain = a @ b + b @ a
-                worst = max(worst, _sparse_max_abs(mixed), _sparse_max_abs(plain))
-        return worst
+        # with the modes stacked as rows V and as columns H, block (i, j) of
+        # V V^dag, H^dag H and V H is phi_i phi_j^dag, phi_i^dag phi_j and phi_i phi_j
+        v, h = sparse.vstack(self.modes, format="csr"), sparse.hstack(self.modes, format="csr")
+        mixed = v @ v.getH() + _block_transpose(h.getH() @ h, self.dim) - sparse.identity(v.shape[0], format="csr")
+        plain = v @ h + _block_transpose(v @ h, self.dim)
+        return float(np.abs(np.concatenate([mixed.data, plain.data])).max(initial=0.0))
+
+
+def _block_transpose(m: sparse.spmatrix, size: int) -> sparse.csr_matrix:
+    """Swap blocks (i, j) and (j, i) of m's size x size blocks, leaving each block as it is."""
+    from scipy import sparse
+    m = m.tocoo()
+    rows, cols = m.col - m.col % size + m.row % size, m.row - m.row % size + m.col % size
+    return sparse.csr_matrix((m.data, (rows, cols)), shape=m.shape)
 
 
 fock_rep = functools.cache(FockRep)  # one shared FockRep per chain length, built on first use
-
-
-def _sparse_max_abs(m: sparse.spmatrix) -> float:
-    data = m.tocoo().data
-    return float(np.max(np.abs(data))) if data.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -500,56 +497,69 @@ def _lone_gate(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _embed(block: np.ndarray, wire: int, n_modes: int) -> sparse.csr_matrix:
+    """The 4x4 block on wires (wire, wire + 1) of n_modes and the identity elsewhere, without its zeros."""
+    from scipy import sparse
+    shift, cols = n_modes - wire - 2, np.arange(2**n_modes)
+    picked = (cols >> shift) & 3  # column c's two bits on the wires pick the block column
+    rows, data = cols - (picked << shift) + (np.arange(4)[:, None] << shift), block[:, picked]
+    keep, cols = data != 0, np.broadcast_to(cols, rows.shape)
+    return sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(2**n_modes,) * 2)
+
+
+def _block_diag(m: sparse.csr_matrix, copies: int) -> sparse.csr_matrix:
+    """I_copies (x) m for a square CSR m, from m's own arrays rather than the kron's coordinates."""
+    from scipy import sparse
+    offsets = np.arange(copies)[:, None]
+    indptr = np.append((m.indptr[:-1] + m.nnz * offsets).ravel(), copies * m.nnz)
+    indices = (m.indices + m.shape[1] * offsets).ravel()
+    return sparse.csr_matrix((np.tile(m.data, copies), indices, indptr), shape=(copies * m.shape[0],) * 2)
+
+
 class FockCheck(NamedTuple):
     max_deviation: float
     transfer_deviation: float  # conjugation action vs compose_row
     vacuum_deviation: float  # |U|0> - phase|0>|
     vacuum_phase: complex
-    locality_deviation: float  # gate embeddings vs identity off their wires
+    locality_deviation: float  # each block's Fock gate vs its closed form on two wires
 
 
 def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
     """Brute-force verification of the transfer-matrix picture on a short chain.
 
-    Checks that (i) conjugating every mode operator by the full step unitary
-    reproduces the compose_row transfer matrix, (ii) the vacuum is invariant
-    up to a reported global phase, and (iii) every gate's Fock embedding is
-    the identity outside its own two wires and, on them, 1 on |0>, T^dag on
-    (phi_i^dag|0>, phi_j^dag|0>) and conj(det T) on phi_i^dag phi_j^dag|0>.
-    Gate blocks must be unitary; chains are open so no gate wraps.
+    The step U is the product of each gate's closed form on its two wires: 1 on
+    |0>, T^dag on (phi_i^dag|0>, phi_j^dag|0>), conj(det T) on phi_i^dag phi_j^dag|0>.
+    Checks that (i) conjugating every mode operator by U reproduces the compose_row
+    transfer matrix, (ii) the vacuum is invariant up to a reported global phase,
+    and (iii) each distinct block's fock_gate_matrix is that closed form on two
+    wires, where the Jordan-Wigner strings cancel.  Blocks must be unitary; chains are open.
     """
     from scipy import sparse
     gates = list(gates)
     rep = fock_rep(n_sites)
     u = sparse.identity(rep.dim, dtype=complex, format="csr")
-    locality_dev = 0.0
+    locality = {}  # one check per distinct block, kept for this call only
     for g in sorted(gates, key=lambda gate: gate.kind != "B"):  # B row applied first
-        full = fock_gate_matrix(g, rep)
-        u = full @ u
         i, _ = g.mode_pair(n_sites, periodic=False)  # open chain: wires i, i + 1
-        expected = _kron_chain([sparse.identity(2**i), _lone_gate(g.matrix()),
-                                sparse.identity(2 ** (rep.n_modes - i - 2))])
-        locality_dev = max(locality_dev, _sparse_max_abs(full - expected))
-    t_ref = compose_row(gates, n_sites, periodic=False)
+        lone = _lone_gate(g.matrix())
+        u = _embed(lone, i, rep.n_modes) @ u
+        if g.unitary not in locality:  # on the gate's own two wires, as one site's B gate
+            pair = fock_gate_matrix(gate_spec("B", 0, g.matrix()), fock_rep(1))
+            locality[g.unitary] = float(np.max(np.abs(pair.toarray() - lone)))
+    locality_dev = max(locality.values(), default=0.0)
 
-    transfer_dev = 0.0
-    u_dag = u.getH()
-    for i in range(rep.n_modes):
-        linear = sum(t_ref[i, j] * rep.modes[j] for j in range(rep.n_modes))
-        transfer_dev = max(transfer_dev, _sparse_max_abs(u @ rep.modes[i] @ u_dag - linear))
+    # every mode at once: (I_M (x) U) V U^dag - (T (x) I_dim) V with V the stacked modes
+    v = sparse.vstack(rep.modes, format="csr")
+    conjugated = _block_diag(u, rep.n_modes) @ (v @ u.getH())
+    linear = sparse.kron(compose_row(gates, n_sites, periodic=False), sparse.identity(rep.dim), format="csr") @ v
+    transfer_dev = float(np.abs((conjugated - linear).data).max(initial=0.0))
 
     evolved = u @ rep.vacuum
     phase = complex(np.vdot(rep.vacuum, evolved))
     vacuum_dev = float(np.linalg.norm(evolved - phase * rep.vacuum))
 
     overall = max(transfer_dev, vacuum_dev, abs(abs(phase) - 1.0), locality_dev)
-    return FockCheck(
-        max_deviation=overall,
-        transfer_deviation=transfer_dev,
-        vacuum_deviation=vacuum_dev,
-        vacuum_phase=phase,
-        locality_deviation=locality_dev,
-    )
+    return FockCheck(overall, transfer_dev, vacuum_dev, phase, locality_dev)
 
 
 def gates_to_json(gates: Sequence[GateSpec]) -> list[dict]:

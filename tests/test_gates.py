@@ -16,6 +16,7 @@ from causalqca.gates import (
     SWAP2,
     _MOMENTA,
     FockRep,
+    _embed,
     _jacobian,
     _lone_gate,
     _momentum_combination,
@@ -37,6 +38,34 @@ from causalqca.gates import (
 from causalqca.walk import dirac_form
 
 SRC_DIR = str(Path(__file__).parent.parent / "src")
+
+
+def _kron_chain(ops):
+    """The Kronecker product of ops, first factor on the highest-order wire: the oracle of the index maps."""
+    out = ops[0]
+    for op in ops[1:]:
+        out = sparse.kron(out, op, format="csr")
+    return out
+
+
+def _jw_kron(mode, n_modes):
+    """Jordan-Wigner mode operator as a string of Pauli z factors ending in a lowering operator."""
+    sz, lower = np.diag([1.0, -1.0]).astype(complex), np.array([[0, 1], [0, 0]], dtype=complex)
+    return _kron_chain([sz] * mode + [lower] + [np.eye(2, dtype=complex)] * (n_modes - mode - 1))
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.nnz == b.nnz and (a != b).nnz == 0
+
+
+def _random_gates(rng, n_sites):
+    """Random U(2) blocks on every B then every A tile of an open chain."""
+    gates = []
+    for kind, count in (("B", n_sites), ("A", n_sites - 1)):
+        for site in range(count):
+            q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+            gates.append(gate_spec(kind, site, q))
+    return gates
 
 
 def test_mode_ordering():
@@ -64,8 +93,33 @@ def test_operators_are_nilpotent():
 
 
 @pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_modes_match_the_pauli_string_kron_chain(n_sites):
+    rep = FockRep(n_sites)
+    for mode, op in enumerate(rep.modes):
+        assert _bitwise_equal(op, _jw_kron(mode, rep.n_modes))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
 def test_anticommutation_relations(n_sites):
-    assert FockRep(n_sites).anticommutation_defect() < 1e-12
+    assert FockRep(n_sites).anticommutation_defect() == 0.0
+
+
+def _pairwise_anticommutation_defect(rep):
+    """The relations pair by pair, the reference of the stacked products."""
+    eye = sparse.identity(rep.dim, dtype=complex, format="csr")
+    worst = 0.0
+    for i, a in enumerate(rep.modes):
+        for j, b in enumerate(rep.modes):
+            mixed = a @ b.getH() + b.getH() @ a - (eye if i == j else 0.0)
+            worst = max(worst, abs(mixed).max(), abs(a @ b + b @ a).max())
+    return worst
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_anticommutation_defect_sees_a_mode_without_its_string_signs(n_sites):
+    rep = FockRep(n_sites)
+    rep.modes[-1] = abs(rep.modes[-1]).astype(complex)  # commutes with the modes before it instead
+    assert rep.anticommutation_defect() == _pairwise_anticommutation_defect(rep) == 2.0
 
 
 def test_fock_rep_is_shared_and_its_vacuum_read_only():
@@ -73,9 +127,11 @@ def test_fock_rep_is_shared_and_its_vacuum_read_only():
     assert fock_rep(3) is rep and rep.n_sites == 3
     with pytest.raises(ValueError):
         rep.vacuum[0] = 0.0
-    hits = fock_rep.cache_info().hits
+    fock_rep(1)  # the locality check's two-wire rep, whether or not an earlier test built it
+    before = fock_rep.cache_info()
     fock_consistency(tile_gates(*canonical_gates(0.8, 0.6), 3, periodic=False), 3)
-    assert fock_rep.cache_info().hits == hits + 1  # the oracle reuses the rep
+    after = fock_rep.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits  # the oracle reuses the reps
 
 
 def test_scipy_calls_go_through_module_attributes(monkeypatch):
@@ -395,15 +451,7 @@ def test_fock_oracle_validates_canonical_gates():
 
 
 def test_fock_oracle_validates_random_gates():
-    rng = np.random.default_rng(11)
-    gates = []
-    for site in range(4):
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        gates.append(gate_spec("B", site, q))
-    for site in range(3):
-        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-        gates.append(gate_spec("A", site, q))
-    chk = fock_consistency(gates, 4)
+    chk = fock_consistency(_random_gates(np.random.default_rng(11), 4), 4)
     assert chk.max_deviation <= 1e-10
 
 
@@ -467,6 +515,41 @@ def test_fock_step_conserves_particle_number(n_sites, blocks):
         step = fock_gate_matrix(gate_spec(kind, site, _u2(np.array(params))), rep) @ step
     number = sum(a.getH() @ a for a in rep.modes)
     assert np.max(np.abs((step @ number - number @ step).toarray())) <= 1e-13
+
+
+@pytest.mark.parametrize("n_modes", range(2, 11))
+def test_embed_matches_the_kron_chain_on_every_wire_pair(n_modes):
+    rng = np.random.default_rng(n_modes)
+    dense = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    for block in (dense, _lone_gate(_u2(rng.uniform(-math.pi, math.pi, 4)))):
+        for wire in range(n_modes - 1):
+            chain = _kron_chain([sparse.identity(2**wire), block, sparse.identity(2 ** (n_modes - wire - 2))])
+            assert _bitwise_equal(_embed(block, wire, n_modes), chain)
+
+
+@pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
+def test_locality_on_two_wires_equals_the_full_chain_check(n_sites):
+    # the full-chain check: each gate's Fock embedding against its closed form
+    # embedded by the kron chain; on adjacent wires the Jordan-Wigner strings cancel
+    rep, lone = FockRep(n_sites), FockRep(1)
+    tiles = tile_gates(*canonical_gates(0.8, 0.6), n_sites, periodic=False)
+    for chain in (tiles, _random_gates(np.random.default_rng(n_sites), n_sites)):
+        deviations = []
+        for g in chain:
+            i, _ = g.mode_pair(n_sites, periodic=False)
+            expected = _kron_chain([sparse.identity(2**i), _lone_gate(g.matrix()),
+                                    sparse.identity(2 ** (rep.n_modes - i - 2))])
+            full = abs(fock_gate_matrix(g, rep) - expected).max()
+            pair = fock_gate_matrix(gate_spec("B", 0, g.matrix()), lone).toarray()
+            assert full == np.max(np.abs(pair - _lone_gate(g.matrix())))
+            deviations.append(full)
+        assert fock_consistency(chain, n_sites).locality_deviation == max(deviations)
+
+
+def test_transfer_check_sees_a_gate_with_the_wrong_one_particle_block(monkeypatch):
+    real = gates._lone_gate
+    monkeypatch.setattr(gates, "_lone_gate", lambda t: real(t.conj().T))  # T in place of T^dag
+    assert fock_consistency(_random_gates(np.random.default_rng(42), 4), 4).transfer_deviation > 1.0
 
 
 def test_gate_locality_of_single_gate():
