@@ -16,7 +16,7 @@ and row normalization of the unitary T bounds the flow speed by
 ``zeta <= sqrt(1 - mu**2)``: the refraction-index bound that
 :func:`solve_gates` decides in closed form.  In momentum space the combination is
 a trigonometric polynomial of degree one, C(p) = C0 + Cp e^{ip} - Cp^dag e^{-ip},
-so the fits that back the decision run on those three Fourier coefficients;
+so the fits behind an infeasible verdict run on those three Fourier coefficients;
 the defect they report is still the largest deviation over the 16 lattice
 momenta.  Each fit is one MINPACK lmder call through ``leastsq``.
 
@@ -27,8 +27,8 @@ particles of its two adjacent wires, embedded as an index map.  The transfer
 action, vacuum invariance and anticommutation are verified brute force on
 all modes at once, and each block's closed form against the sparse product
 ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal modes b_k.
-scipy loads on the first solve or oracle call, not with this module; its
-``least_squares``, ``expm`` and ``logm`` are stand-ins only perfbench/tracer.py calls.
+scipy loads on first use, not with this module, and ``scipy.optimize`` only past the
+bound; its ``least_squares``, ``expm`` and ``logm`` are stand-ins only perfbench/tracer.py calls.
 """
 
 from __future__ import annotations
@@ -339,9 +339,9 @@ class GateSolution(NamedTuple):
     gate_b: GateSpec
     residual: float  # combination defect of the returned gates (their own form)
     achieved_zeta: float  # flow speed carried by the returned gates' rows
-    requested_residual: float  # best defect against the requested (zeta, mu) target
-    restart_residuals: tuple[float, ...]
-    restarts: int
+    requested_residual: float  # the returned gates' defect against the requested (zeta, mu) target
+    restart_residuals: tuple[float, ...]  # each fit's defect; empty at or below the bound
+    restarts: int  # number of fits run: 0 at or below the bound
     seed: int
 
 
@@ -388,9 +388,9 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     any nearest-neighbour unitary step saturates the row-normalization bound
     (unitarity forces the Hermitian and anti-Hermitian parts of the transfer
     block to commute, which pins the speed).  So a request at or below the
-    bound is 'feasible', granted by ``canonical_gates(zeta_max, mu)`` itself:
-    ``achieved_zeta`` is zeta_max and ``residual`` the pair's combination
-    defect, its largest deviation over the 16 lattice momenta (at most 1e-8).
+    bound is 'feasible', granted with no fit by ``canonical_gates(zeta_max, mu)``:
+    ``achieved_zeta`` is zeta_max, ``residual`` its defect over the 16 momenta
+    (at most 1e-8), ``requested_residual`` 2 (zeta_max - zeta) by the Dirac form.
 
     A request above the bound is 'infeasible' by a floor every pair obeys
     (Bisio, D'Ariano and Tosini, arXiv:1212.2839).  U(2) blocks have
@@ -400,8 +400,8 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     S >= 64 (zeta - x)_+**2 + 128 (mu - y)_+**2 >= 64 (hypot(zeta, mu) - 1)**2
     over 64 complex entries, so every pair's defect is at least hypot(zeta, mu) - 1.
 
-    Either way the literal (zeta, mu) target is fitted as evidence from two
-    analytic warm starts plus ``restarts`` random points in U(2) x U(2), on
+    A request past the bound is fitted to the literal (zeta, mu) target from
+    its analytic warm starts plus ``restarts`` random points in U(2) x U(2), on
     the combination's three Fourier coefficients (whose weighted sum of
     squares equals the grid's), by MINPACK's lmder through ``leastsq`` with
     column-norm scaling, so the fits do not follow ``least_squares``'
@@ -427,22 +427,22 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
         raise ValueError(f"restarts must be at least 0, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
-    rng = np.random.default_rng(seed)
-    starts = [_warm_start(math.sqrt(1 - mu**2), mu)]
-    if zeta <= 1:
-        starts.append(_warm_start(zeta, math.sqrt(max(0.0, 1 - zeta**2))))
-    starts += [rng.uniform(-math.pi, math.pi, size=8) for _ in range(restarts)]
-    best_x, requested_best, finals = _optimize_combination(zeta, mu, starts)
-
     zeta_max = math.sqrt(1.0 - mu * mu)
     if zeta <= zeta_max:
         gate_a, gate_b = canonical_gates(zeta_max, mu)
         residual = _defect(gate_a.matrix(), gate_b.matrix(), zeta_max, mu)
-        status = "feasible" if residual <= _TOL else "undetermined"
+        requested = residual if zeta == zeta_max else _defect(gate_a.matrix(), gate_b.matrix(), zeta, mu)
+        status, finals = ("feasible" if residual <= _TOL else "undetermined"), []
     else:
+        rng = np.random.default_rng(seed)
+        starts = [_warm_start(math.sqrt(1 - mu**2), mu)]
+        if zeta <= 1:
+            starts.append(_warm_start(zeta, math.sqrt(max(0.0, 1 - zeta**2))))
+        starts += [rng.uniform(-math.pi, math.pi, size=8) for _ in range(restarts)]
+        best_x, requested, finals = _optimize_combination(zeta, mu, starts)
         a, b = _fix_gauge(_u2(best_x[:4]), _u2(best_x[4:]))
         gate_a, gate_b = gate_spec("A", 0, a), gate_spec("B", 0, b)
-        residual = requested_best
+        residual = requested
         floor = math.nextafter(math.hypot(zeta, mu), 0.0) - 1.0  # one ulp low: hypot rounds
         status = "infeasible" if min(finals) >= floor else "undetermined"
 
@@ -454,9 +454,9 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
         # T_B T_A reaches (n, +) from (n+1, +) only through b[0,1] a[0,1] and
         # has no term the other way, so this is that entry of T - T^dag
         achieved_zeta=float((gate_b.unitary[0][1] * gate_a.unitary[0][1]).real),
-        requested_residual=requested_best,
+        requested_residual=requested,
         restart_residuals=tuple(finals),
-        restarts=len(starts),
+        restarts=len(finals),
         seed=seed,
     )
 

@@ -106,10 +106,16 @@ def test_numpy_only_modules_do_not_import_scipy(tmp_path):
 
 
 def test_gates_verify_loads_scipy_on_demand(tmp_path):
-    run = f"causalqca.recipes.run_recipe('gates_verify', {{'restarts': '0', 'n_sites': '2'}}, out_dir={str(tmp_path)!r})"
-    loaded = _scipy_after_each(["import causalqca.cli", run])
+    # a request at or below the bound is granted in closed form, so only the Fock
+    # oracle's scipy loads; a request past it runs the fits, and scipy.optimize with them
+    feasible = f"causalqca.recipes.run_recipe('gates_verify', {{'n_sites': '2'}}, out_dir={str(tmp_path / 'at')!r})"
+    past = (f"causalqca.recipes.run_recipe('gates_verify', {{'zeta': '0.9', 'restarts': '0', 'n_sites': '2'}}, "
+            f"out_dir={str(tmp_path / 'past')!r})")
+    loaded = _scipy_after_each(["import causalqca.cli", feasible, past])
     assert loaded["import causalqca.cli"] == []
-    assert {"scipy.optimize", "scipy.sparse"} <= set(loaded[run])
+    assert {"scipy.sparse", "scipy.linalg"} <= set(loaded[feasible])
+    assert "scipy.optimize" not in loaded[feasible]
+    assert "scipy.optimize" in loaded[past]
 
 
 @pytest.mark.parametrize("recipe, setting, message", [

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import sparse
 from scipy.linalg import expm, logm
 
@@ -135,7 +135,7 @@ def test_fock_rep_is_shared_and_its_vacuum_read_only():
 
 
 def test_scipy_calls_go_through_module_attributes(monkeypatch):
-    # the fits call scipy through the module attribute gates.leastsq
+    # the fits past the bound call scipy through the module attribute gates.leastsq
     calls = []
     real = gates.leastsq
 
@@ -144,8 +144,8 @@ def test_scipy_calls_go_through_module_attributes(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gates, "leastsq", counting)
-    assert solve_gates(0.8, 0.6, restarts=0).status == "feasible"
-    assert len(calls) == 2  # one per analytic warm start
+    assert solve_gates(0.9, 0.6, restarts=0).status == "infeasible"
+    assert len(calls) == 2  # one per analytic warm start: zeta = 0.9 <= 1 adds the second
 
 
 def test_expm_and_logm_resolve_without_importing_scipy():
@@ -378,10 +378,10 @@ def test_fourier_residual_gives_the_lattice_normal_equations(x, target):
     assert np.max(np.abs(jac.T @ r - lattice_jac.T @ lattice)) <= 1e-6
 
 
-@pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 22), (1.001, "infeasible", 22)])
+@pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 0), (1.001, "infeasible", 22)])
 def test_solve_gates_fits_each_start_once(monkeypatch, factor, status, calls):
-    # every request fits its 22 starts against its literal target, and a
-    # below-bound one is then granted by the canonical pair with no further fit
+    # a request past the bound fits its 22 starts against its literal target once
+    # each; a below-bound one is granted by the canonical pair with no fit at all
     fits = []
     real = gates.leastsq
 
@@ -392,9 +392,33 @@ def test_solve_gates_fits_each_start_once(monkeypatch, factor, status, calls):
     monkeypatch.setattr(gates, "leastsq", counted)
     sol = solve_gates(factor * 0.8, 0.6, restarts=20, seed=0)
     assert sol.status == status
-    assert len(fits) == calls
+    assert len(fits) == sol.restarts == len(sol.restart_residuals) == calls
     if status == "feasible":
         assert (sol.gate_a, sol.gate_b) == canonical_gates(0.8, 0.6)
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a request at or below the bound runs no fit")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0, 1), st.floats(0, 1, exclude_min=True))
+@example(0.6, 1.0).via("the golden default, on the bound")
+@example(0.0, 1.0).via("massless")
+def test_a_request_at_or_below_the_bound_is_granted_in_closed_form(mu, factor):
+    zeta_max = refraction_bound(mu).zeta_max
+    zeta = factor * zeta_max
+    assume(zeta > 0.0)  # mu = 1 admits no positive speed
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gates, "leastsq", _no_fit)
+        sol = solve_gates(zeta, mu, restarts=20, seed=7)
+    assert sol.status == "feasible" and sol.residual <= 1e-8
+    assert (sol.gate_a, sol.gate_b) == canonical_gates(zeta_max, mu)
+    assert sol.restarts == 0 and sol.restart_residuals == () and sol.seed == 7
+    # the grant's combination is -2i (zeta_max sin p sigma_z + mu sigma_x) by the Dirac
+    # form, so against the literal target it is off by 2 (zeta_max - zeta) sin p,
+    # largest at the grid momentum p = pi/2
+    assert abs(sol.requested_residual - 2 * (zeta_max - zeta)) <= 1e-15
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
