@@ -26,9 +26,11 @@ the product of each gate's closed form 1, T^dag, conj(det T) on 0, 1 and 2
 particles of its two adjacent wires, embedded as an index map.  The transfer
 action, vacuum invariance and anticommutation are verified brute force on
 all modes at once, and each block's closed form against the sparse product
-``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal modes b_k.
-scipy loads on first use, not with this module, and ``scipy.optimize`` only past the
-bound; its ``least_squares``, ``expm`` and ``logm`` are stand-ins only perfbench/tracer.py calls.
+``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal modes b_k, split
+out by numpy's eigh rather than a matrix logarithm.  scipy loads on first use,
+not with this module: ``scipy.sparse`` for the oracle and ``scipy.optimize`` only
+past the bound; ``least_squares``, ``expm`` and ``logm`` are stand-ins only
+perfbench/tracer.py calls.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def _scipy(module: str, name: str):
 
 
 leastsq, least_squares = _scipy("scipy.optimize", "leastsq"), _scipy("scipy.optimize", "least_squares")
-schur, expm, logm = (_scipy("scipy.linalg", name) for name in ("schur", "expm", "logm"))
+expm, logm = _scipy("scipy.linalg", "expm"), _scipy("scipy.linalg", "logm")
 
 
 def mode_index(site: int, chirality: str, n_sites: int) -> int:
@@ -470,22 +472,27 @@ def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> sparse.csr_matrix:
 
     With T the gate's single-particle block, G = exp(1j * phi^dag h phi) with
     h = 1j log T conjugates the pair's mode operators exactly by T and leaves
-    the vacuum strictly invariant.  T is normal, so its complex Schur form
-    T = V diag(lam) V^dag diagonalizes h = V diag(-arg lam) V^dag with V unitary
-    even for a repeated eigenvalue, and needs no matrix logarithm (scipy's
-    logm fails on T = diag(1 + 1j*eps, 1 - 1j*eps) at subnormal eps).  The
-    normal modes b_k = conj(V[0, k]) phi_i + conj(V[1, k]) phi_j have number
-    operators that are commuting projectors, so
+    the vacuum strictly invariant.  T is normal, so a unitary V with
+    T = V diag(lam) V^dag diagonalizes h = V diag(-arg lam) V^dag, and no matrix
+    logarithm is needed (scipy's logm fails on T = diag(1 + 1j*eps, 1 - 1j*eps)
+    at subnormal eps).  V comes from numpy's eigh of the Hermitian
+    K = (S - S^dag) / 2i with S = T / sqrt(det T): S has eigenvalues e^{+-i theta},
+    which K keeps apart as +-sin theta unless S = +-1, where T is scalar and any
+    orthonormal V will do.  The normal modes b_k = conj(V[0, k]) phi_i +
+    conj(V[1, k]) phi_j have number operators that are commuting projectors, so
     G = prod_k (1 + (e^{-i arg lam_k} - 1) b_k^dag b_k) with no series.
     """
     from scipy import sparse
     i, j = gate.mode_pair(rep.n_sites, periodic=False)
-    r, v = schur(gate.matrix(), output="complex")
+    t = gate.matrix()
+    s = t / np.sqrt(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0])
+    v = np.linalg.eigh((s - s.conj().T) / 2j)[1]
+    lam = np.diag(v.conj().T @ t @ v)
     eye = sparse.identity(rep.dim, dtype=complex, format="csr")
     out = eye
     for k in range(2):
         b = np.conj(v[0, k]) * rep.modes[i] + np.conj(v[1, k]) * rep.modes[j]
-        out = out @ (eye + (np.exp(-1j * np.angle(r[k, k])) - 1.0) * (b.getH() @ b))
+        out = out @ (eye + (np.exp(-1j * np.angle(lam[k])) - 1.0) * (b.getH() @ b))
     return out
 
 

@@ -334,7 +334,9 @@ def _eff_hamiltonian(svg: bool, *, mu: float = 0.6, n_sites: int = 64) -> tuple[
         "deviation_k2": _decade_bound(dev2),
         "small_limit_slope": slope,
     }
-    ok = dev1 <= 1e-12 and dev2 <= 1e-12 and slope >= 2.9
+    # the remainder is cubic, so the slope is 3; its next order, ~0.39 s**2 relative, bends
+    # the local slope by at most 0.016 at the largest sampled s = 0.14, and 0.05 leaves room
+    ok = dev1 <= 1e-12 and dev2 <= 1e-12 and abs(slope - 3.0) <= 0.05
     return summary, ok, {}
 
 
@@ -369,7 +371,7 @@ def _units_table(svg: bool) -> tuple[dict, bool, Tables]:
         "proton_mass_rel_err": checks[1],
         "planck_rel_err": planck_err,
     }
-    ok = checks[0] <= 1e-6 and planck_err <= 1e-12
+    ok = max(checks) <= 1e-6 and planck_err <= 1e-12
     return summary, ok, {"units.csv": (["name", "omega", "mass_kg", "compton_m"], rows)}
 
 

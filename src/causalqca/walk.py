@@ -82,6 +82,11 @@ def gaussian_packet(params: WalkParams, p0: float, width: float,
 
 
 def random_state(params: WalkParams, rng: np.random.Generator) -> np.ndarray:
+    """A normalized state with Gaussian complex amplitudes, drawn from ``rng``.
+
+    No recipe uses it; it stays as the one shared draw of the walk benchmark
+    (perfbench's ``walk_evolve``) and of the walk and acceptance tests.
+    """
     psi = rng.standard_normal((params.n_sites, 2)) + 1j * rng.standard_normal((params.n_sites, 2))
     return psi / np.linalg.norm(psi)
 

@@ -106,15 +106,18 @@ def test_numpy_only_modules_do_not_import_scipy(tmp_path):
 
 
 def test_gates_verify_loads_scipy_on_demand(tmp_path):
-    # a request at or below the bound is granted in closed form, so only the Fock
-    # oracle's scipy loads; a request past it runs the fits, and scipy.optimize with them
-    feasible = f"causalqca.recipes.run_recipe('gates_verify', {{'n_sites': '2'}}, out_dir={str(tmp_path / 'at')!r})"
+    # a request at or below the bound is granted in closed form and the Fock oracle
+    # splits its blocks with numpy, so only scipy.sparse loads; a request past the
+    # bound runs the fits, and scipy.optimize with them
+    feasible = [f"causalqca.recipes.run_recipe('gates_verify', {overrides}, out_dir={str(tmp_path / name)!r})"
+                for name, overrides in (("default", {}), ("five", {"n_sites": "5"}))]
     past = (f"causalqca.recipes.run_recipe('gates_verify', {{'zeta': '0.9', 'restarts': '0', 'n_sites': '2'}}, "
             f"out_dir={str(tmp_path / 'past')!r})")
-    loaded = _scipy_after_each(["import causalqca.cli", feasible, past])
+    loaded = _scipy_after_each(["import causalqca.cli", *feasible, past])
     assert loaded["import causalqca.cli"] == []
-    assert {"scipy.sparse", "scipy.linalg"} <= set(loaded[feasible])
-    assert "scipy.optimize" not in loaded[feasible]
+    for step in feasible:
+        assert "scipy.sparse" in loaded[step]
+        assert not {"scipy.linalg", "scipy.optimize"} & set(loaded[step])
     assert "scipy.optimize" in loaded[past]
 
 
@@ -361,6 +364,18 @@ def test_constants_file_override(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "out" / "units_table.json").read_text())
     assert payload["summary"]["c"] == 1.0
     assert payload["ok"] is False
+
+
+def test_units_table_checks_the_proton_mass(tmp_path, monkeypatch):
+    monkeypatch.setattr(recipes, "_PROTON_MASS", recipes._PROTON_MASS * (1 + 1e-5))
+    assert not run_recipe("units_table", out_dir=tmp_path).ok
+
+
+@pytest.mark.parametrize("slope, ok", [(2.99, True), (3.01, True), (2.9, False), (3.5, False)])
+def test_eff_hamiltonian_checks_the_slope_on_both_sides(tmp_path, monkeypatch, slope, ok):
+    # the small-coupling remainder is cubic: a slope far from 3 either way fails
+    monkeypatch.setattr(recipes, "generator_small_limit_slope", lambda: slope)
+    assert run_recipe("eff_hamiltonian", {"n_sites": "16"}, out_dir=tmp_path).ok is ok
 
 
 def test_conflicting_constants_file_is_usage_error(tmp_path, monkeypatch, capsys):

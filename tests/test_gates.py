@@ -217,6 +217,36 @@ def test_compose_row_plus_row_entries():
     assert back[stay, mode_index(2, "+", n)] == pytest.approx(0.8)
 
 
+ring_sizes = st.integers(2, 7)
+u2_pair = st.lists(st.floats(-math.pi, math.pi), min_size=8, max_size=8)
+
+
+def _tiled(a, b, n_sites, periodic=True):
+    return tile_gates(gate_spec("A", 0, a), gate_spec("B", 0, b), n_sites, periodic)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u2_pair, st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi), ring_sizes)
+def test_gauge_rephasing_leaves_the_step_unchanged(x, alpha, beta, n_sites):
+    # B -> B diag(e^{i alpha}, e^{i beta}), A -> diag(e^{-i beta}, e^{-i alpha}) A: the
+    # freedom _fix_gauge removes; it holds to rounding, not bit for bit
+    a, b = _u2(np.array(x[:4])), _u2(np.array(x[4:]))
+    d = np.exp(1j * np.array([alpha, beta]))
+    a2, b2 = np.conj(d[::-1])[:, None] * a, b * d[None, :]
+    step, rephased = (compose_row(_tiled(*pair, n_sites), n_sites) for pair in ((a, b), (a2, b2)))
+    assert np.max(np.abs(rephased - step)) <= 1e-15
+    # on an open chain the end modes keep an uncancelled phase, so the step changes, but the oracle still agrees
+    assert fock_consistency(_tiled(a2, b2, 3, periodic=False), 3).max_deviation <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(u2_pair, ring_sizes)
+def test_a_tiled_ring_commutes_with_the_one_site_shift(x, n_sites):
+    # rolling rows and columns by one site (two modes) is exact, so only the step's rounding shows
+    t = compose_row(_tiled(_u2(np.array(x[:4])), _u2(np.array(x[4:])), n_sites), n_sites)
+    assert np.max(np.abs(np.roll(t, (2, 2), axis=(0, 1)) - t)) <= 1e-15
+
+
 def test_fb_combination_trivial_and_canonical():
     n = 6
     eye = np.eye(2 * n, dtype=complex)
@@ -492,11 +522,24 @@ DEGENERATE_PAIRS = {
     "canonical mu=0": tuple(g.matrix() for g in canonical_gates(1.0, 0.0)),
     "canonical mu=1": tuple(g.matrix() for g in canonical_gates(0.0, 1.0)),
 }
+
+
+def _near_degenerate(rng, splits):
+    """V diag(e^{i phi}, e^{i (phi + delta)}) V^dag for a random U(2) V and phase phi per split delta."""
+    blocks = []
+    for delta in splits:
+        v, phi = _u2(rng.uniform(-math.pi, math.pi, 4)), rng.uniform(-math.pi, math.pi)
+        blocks.append(v @ np.diag(np.exp(1j * np.array([phi, phi + delta]))) @ v.conj().T)
+    return tuple(blocks)
+
+
 # scipy's series reference for the gates on one site's two wires: the edge
-# cases above and a seeded sweep of U(2)
+# cases above, a seeded sweep of U(2), and eigenvalues split by 1e-4 down to
+# 3e-16, where the Hermitian part the oracle diagonalizes is tiny
 SERIES_BLOCKS = {
     **DEGENERATE_PAIRS,
     "200 random": tuple(_u2(p) for p in np.random.default_rng(12).uniform(-math.pi, math.pi, (200, 4))),
+    "near-degenerate": _near_degenerate(np.random.default_rng(13), np.geomspace(1e-4, 3e-16, 40)),
 }
 # a diagonal gate whose eigenvalues differ by a subnormal amount, on which
 # scipy's logm raises "R is not upper triangular", so it has no series
