@@ -21,16 +21,15 @@ the defect they report is still the largest deviation over the 16 lattice
 momenta.  Each fit is one MINPACK lmder call through ``leastsq``.
 
 Everything is cross-checked against an exact Fock representation on short
-chains: Jordan-Wigner mode operators are signed index maps, and the step is
-the product of each gate's closed form 1, T^dag, conj(det T) on 0, 1 and 2
-particles of its two adjacent wires, embedded as an index map.  The transfer
-action, vacuum invariance and anticommutation are verified brute force on
-all modes at once, and each block's closed form against the sparse product
-``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal modes b_k, split
-out by numpy's eigh rather than a matrix logarithm.  scipy loads on first use,
-not with this module: ``scipy.sparse`` for the oracle and ``scipy.optimize`` only
-past the bound; ``least_squares``, ``expm`` and ``logm`` are stand-ins only
-perfbench/tracer.py calls.
+chains, in numpy alone: every gate keeps the particle number, so the step is
+built sector by sector from each gate's closed form 1, T^dag, conj(det T) on
+0, 1 and 2 particles of its two adjacent wires, and the transfer action and
+anticommutation are verified brute force, all modes at once, with the
+Jordan-Wigner modes as signed gathers.  Each block's closed form is checked
+against the product ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal
+modes b_k, split out by numpy's eigh.  Only a solve past the bound loads scipy,
+``scipy.optimize``; ``least_squares``, ``expm`` and ``logm`` are stand-ins
+only perfbench/tracer.py calls.
 """
 
 from __future__ import annotations
@@ -40,14 +39,11 @@ import functools
 import importlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .walk import dirac_form
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 PLUS = "+"
 MINUS = "-"
@@ -74,46 +70,58 @@ def mode_index(site: int, chirality: str, n_sites: int) -> int:
     return 2 * site + (0 if chirality == PLUS else 1)
 
 
-def _jw_mode(mode: int, n_modes: int) -> sparse.csr_matrix:
-    """phi_mode as a signed index map: it clears the mode's bit, signed by the parity of the bits above it."""
-    from scipy import sparse
-    signs = np.array([(-1.0) ** bin(k).count("1") for k in range(2**mode)], dtype=complex)
-    shift = n_modes - mode - 1
-    rows = np.flatnonzero((np.arange(2**n_modes) >> shift) & 1 == 0)  # the mode is empty in these rows
-    return sparse.csr_matrix((signs[rows >> (shift + 1)], (rows, rows | (1 << shift))), shape=(2**n_modes,) * 2)
-
-
 class FockRep:
-    """Exact mode operators and vacuum on a short chain (n_sites <= 5)."""
+    """Jordan-Wigner tables on a short chain (n_sites <= 5), its basis split by particle number.
+
+    Basis state c holds mode m when c has bit ``bits[m]`` set, mode 0 on the highest bit.  phi_m
+    sends c to c ^ bits[m] when c holds m, and phi_m^dag does so when it does not, both times with
+    the string sign ``signs[m, c]``: -1 to the number of modes before m that c holds.  Sector k
+    lists the states holding k particles, ``local[c]`` is c's place in its sector, and entry
+    [state, m] of ``lowering[k - 1]`` (phi from sector k into k - 1, over the states of k - 1) and
+    of ``raising[k - 1]`` (phi^dag from k - 1 into k, over the states of k) is the place of the
+    state with mode m flipped and its sign, or 0 and 0.  ``wire_rows[w]``: the states whose wires
+    (w, w + 1) read 10 above their 01 partners, and those reading 11.
+    """
 
     def __init__(self, n_sites: int):
         if not 1 <= n_sites <= 5:
             raise ValueError(f"n_sites must lie in [1, 5], got {n_sites}")
         self.n_sites = n_sites
-        self.n_modes = 2 * n_sites
-        self.dim = 2**self.n_modes
-        self.modes = [_jw_mode(m, self.n_modes) for m in range(self.n_modes)]
-        self.vacuum = np.zeros(self.dim, dtype=complex)
-        self.vacuum[0] = 1.0  # all modes empty
-        self.vacuum.flags.writeable = False  # fock_rep shares it
+        self.n_modes = n_modes = 2 * n_sites
+        self.dim = 2**n_modes
+        states = np.arange(self.dim)
+        self.bits = 1 << np.arange(n_modes - 1, -1, -1)
+        self.held = (states & self.bits[:, None]) != 0
+        self.signs = 1.0 - 2.0 * ((np.cumsum(self.held, axis=0) - self.held) % 2)
+        count = self.held.sum(axis=0)
+        self.sectors = [np.flatnonzero(count == k) for k in range(n_modes + 1)]
+        self.local = np.cumsum(count[:, None] == np.arange(n_modes + 1), axis=0)[states, count] - 1
+        place, sign, held = self.local[states[:, None] ^ self.bits], self.signs.T, self.held.T  # [state, mode]
+        self.lowering = [(np.where(held[s], 0, place[s]), np.where(held[s], 0, sign[s])) for s in self.sectors[:-1]]
+        self.raising = [(np.where(held[s], place[s], 0), np.where(held[s], sign[s], 0)) for s in self.sectors[1:]]
+        self.wire_rows = []
+        for shift in range(n_modes - 2, -1, -1):
+            ten = np.flatnonzero(states >> shift & 3 == 2)
+            self.wire_rows.append((np.stack([ten, ten ^ 3 << shift]), np.flatnonzero(states >> shift & 3 == 3)))
+
+    def mode(self, m: int) -> np.ndarray:
+        """phi_m as a dense matrix."""
+        out, states = np.zeros((self.dim, self.dim), dtype=complex), np.arange(self.dim)
+        out[states ^ self.bits[m], states] = self.signs[m] * self.held[m]  # 0 in columns without mode m
+        return out
 
     def anticommutation_defect(self) -> float:
-        """Largest deviation from {phi_i, phi_j^dag} = delta_ij, {phi_i, phi_j} = 0, all pairs at once."""
-        from scipy import sparse
-        # with the modes stacked as rows V and as columns H, block (i, j) of
-        # V V^dag, H^dag H and V H is phi_i phi_j^dag, phi_i^dag phi_j and phi_i phi_j
-        v, h = sparse.vstack(self.modes, format="csr"), sparse.hstack(self.modes, format="csr")
-        mixed = v @ v.getH() + _block_transpose(h.getH() @ h, self.dim) - sparse.identity(v.shape[0], format="csr")
-        plain = v @ h + _block_transpose(v @ h, self.dim)
-        return float(np.abs(np.concatenate([mixed.data, plain.data])).max(initial=0.0))
+        """Largest deviation from {phi_i, phi_j^dag} = delta_ij, {phi_i, phi_j} = 0, all pairs at once.
 
-
-def _block_transpose(m: sparse.spmatrix, size: int) -> sparse.csr_matrix:
-    """Swap blocks (i, j) and (j, i) of m's size x size blocks, leaving each block as it is."""
-    from scipy import sparse
-    m = m.tocoo()
-    rows, cols = m.col - m.col % size + m.row % size, m.row - m.row % size + m.col % size
-    return sparse.csr_matrix((m.data, (rows, cols)), shape=m.shape)
+        Either product of phi_i or phi_i^dag with phi_j or phi_j^dag sends basis state c to
+        c ^ bits[i] ^ bits[j], so each anticommutator is one signed coefficient per (i, j, c).
+        """
+        flip = np.arange(self.dim) ^ self.bits[:, None]
+        low, up = self.signs * self.held, self.signs * ~self.held  # phi_m and phi_m^dag at each state
+        # entry [i, j, c] of phi_i phi_j^dag, phi_j^dag phi_i, phi_i phi_j
+        mixed = low[:, flip] * up + np.swapaxes(up[:, flip] * low, 0, 1) - np.eye(self.n_modes)[:, :, None]
+        plain = low[:, flip] * low
+        return float(max(np.abs(mixed).max(), np.abs(plain + np.swapaxes(plain, 0, 1)).max()))
 
 
 fock_rep = functools.cache(FockRep)  # one shared FockRep per chain length, built on first use
@@ -467,8 +475,8 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
 # Fock-space oracle
 
 
-def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> sparse.csr_matrix:
-    """Exact Fock-space unitary of one gate on ``rep``'s chain, as a sparse matrix.
+def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> np.ndarray:
+    """Exact Fock-space unitary of one gate on ``rep``'s chain, as a dense matrix.
 
     With T the gate's single-particle block, G = exp(1j * phi^dag h phi) with
     h = 1j log T conjugates the pair's mode operators exactly by T and leaves
@@ -482,17 +490,15 @@ def fock_gate_matrix(gate: GateSpec, rep: FockRep) -> sparse.csr_matrix:
     conj(V[1, k]) phi_j have number operators that are commuting projectors, so
     G = prod_k (1 + (e^{-i arg lam_k} - 1) b_k^dag b_k) with no series.
     """
-    from scipy import sparse
     i, j = gate.mode_pair(rep.n_sites, periodic=False)
     t = gate.matrix()
     s = t / np.sqrt(t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0])
     v = np.linalg.eigh((s - s.conj().T) / 2j)[1]
     lam = np.diag(v.conj().T @ t @ v)
-    eye = sparse.identity(rep.dim, dtype=complex, format="csr")
-    out = eye
+    out = eye = np.eye(rep.dim, dtype=complex)
     for k in range(2):
-        b = np.conj(v[0, k]) * rep.modes[i] + np.conj(v[1, k]) * rep.modes[j]
-        out = out @ (eye + (np.exp(-1j * np.angle(lam[k])) - 1.0) * (b.getH() @ b))
+        b = np.conj(v[0, k]) * rep.mode(i) + np.conj(v[1, k]) * rep.mode(j)
+        out = out @ (eye + (np.exp(-1j * np.angle(lam[k])) - 1.0) * (b.conj().T @ b))
     return out
 
 
@@ -504,28 +510,25 @@ def _lone_gate(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _embed(block: np.ndarray, wire: int, n_modes: int) -> sparse.csr_matrix:
-    """The 4x4 block on wires (wire, wire + 1) of n_modes and the identity elsewhere, without its zeros."""
-    from scipy import sparse
-    shift, cols = n_modes - wire - 2, np.arange(2**n_modes)
-    picked = (cols >> shift) & 3  # column c's two bits on the wires pick the block column
-    rows, data = cols - (picked << shift) + (np.arange(4)[:, None] << shift), block[:, picked]
-    keep, cols = data != 0, np.broadcast_to(cols, rows.shape)
-    return sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(2**n_modes,) * 2)
+def _sector_blocks(gates: Sequence[GateSpec], rep: FockRep) -> list[np.ndarray]:
+    """The step U on ``rep``'s chain, B row first, as its blocks over the particle-number sectors.
 
-
-def _block_diag(m: sparse.csr_matrix, copies: int) -> sparse.csr_matrix:
-    """I_copies (x) m for a square CSR m, from m's own arrays rather than the kron's coordinates."""
-    from scipy import sparse
-    offsets = np.arange(copies)[:, None]
-    indptr = np.append((m.indptr[:-1] + m.nnz * offsets).ravel(), copies * m.nnz)
-    indices = (m.indices + m.shape[1] * offsets).ravel()
-    return sparse.csr_matrix((np.tile(m.data, copies), indices, indptr), shape=(copies * m.shape[0],) * 2)
+    Each gate is its closed form on its wires (i, i + 1): rows reading 00 there stay, rows reading
+    11 take conj(det T), and each 10 row mixes with its 01 partner by T^dag.
+    """
+    u = np.zeros((rep.dim, max(map(len, rep.sectors))), dtype=complex)  # row c: U's row c on c's sector
+    u[np.arange(rep.dim), rep.local] = 1.0
+    for g in sorted(gates, key=lambda gate: gate.kind != "B"):
+        lone = _lone_gate(g.matrix())
+        pairs, both = rep.wire_rows[g.mode_pair(rep.n_sites, periodic=False)[0]]  # open chain
+        u[both] *= lone[3, 3]
+        u[pairs] = np.tensordot(lone[np.ix_([2, 1], [2, 1])], u[pairs], 1)
+    return [u[sector, :len(sector)] for sector in rep.sectors]
 
 
 class FockCheck(NamedTuple):
     max_deviation: float
-    transfer_deviation: float  # conjugation action vs compose_row
+    transfer_deviation: float  # U phi_i - sum_j T_ij phi_j U against compose_row
     vacuum_deviation: float  # |U|0> - phase|0>|
     vacuum_phase: complex
     locality_deviation: float  # each block's Fock gate vs its closed form on two wires
@@ -536,37 +539,33 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
 
     The step U is the product of each gate's closed form on its two wires: 1 on
     |0>, T^dag on (phi_i^dag|0>, phi_j^dag|0>), conj(det T) on phi_i^dag phi_j^dag|0>.
-    Checks that (i) conjugating every mode operator by U reproduces the compose_row
-    transfer matrix, (ii) the vacuum is invariant up to a reported global phase,
-    and (iii) each distinct block's fock_gate_matrix is that closed form on two
-    wires, where the Jordan-Wigner strings cancel.  Blocks must be unitary; chains are open.
+    Every gate keeps the particle number, so U is built and checked block by block
+    over the sectors.  Checks that (i) U phi_i = sum_j T_ij phi_j U for every mode,
+    with T the compose_row transfer matrix, (ii) the vacuum, alone in its sector, is
+    invariant up to a reported global phase, and (iii) each distinct block's
+    fock_gate_matrix is that closed form on two wires, where the Jordan-Wigner
+    strings cancel.  Blocks must be unitary; chains are open.
     """
-    from scipy import sparse
     gates = list(gates)
     rep = fock_rep(n_sites)
-    u = sparse.identity(rep.dim, dtype=complex, format="csr")
-    locality = {}  # one check per distinct block, kept for this call only
-    for g in sorted(gates, key=lambda gate: gate.kind != "B"):  # B row applied first
-        i, _ = g.mode_pair(n_sites, periodic=False)  # open chain: wires i, i + 1
-        lone = _lone_gate(g.matrix())
-        u = _embed(lone, i, rep.n_modes) @ u
-        if g.unitary not in locality:  # on the gate's own two wires, as one site's B gate
-            pair = fock_gate_matrix(gate_spec("B", 0, g.matrix()), fock_rep(1))
-            locality[g.unitary] = float(np.max(np.abs(pair.toarray() - lone)))
-    locality_dev = max(locality.values(), default=0.0)
+    blocks = _sector_blocks(gates, rep)
+    t = compose_row(gates, n_sites, periodic=False)
+    transfer_dev = 0.0
+    # from sector k to k - 1, all modes at once: column c of U phi_i is s_i(c) times U's column
+    # c ^ bits[i], and row r of phi_j U is s_j(r) times U's row r | bits[j]
+    for below, above, (low, low_sign), (up, up_sign) in zip(blocks, blocks[1:], rep.lowering, rep.raising):
+        for rows in (slice(start, start + 32) for start in range(0, len(below), 32)):  # bounds memory at n = 5
+            lhs = below[rows][:, up.T] * up_sign.T  # [r, i, c]
+            rhs = t @ (low_sign[rows, :, None] * above[low[rows]])
+            transfer_dev = max(transfer_dev, float(np.max(np.abs(lhs - rhs))))
 
-    # every mode at once: (I_M (x) U) V U^dag - (T (x) I_dim) V with V the stacked modes
-    v = sparse.vstack(rep.modes, format="csr")
-    conjugated = _block_diag(u, rep.n_modes) @ (v @ u.getH())
-    linear = sparse.kron(compose_row(gates, n_sites, periodic=False), sparse.identity(rep.dim), format="csr") @ v
-    transfer_dev = float(np.abs((conjugated - linear).data).max(initial=0.0))
+    phase = complex(blocks[0][0, 0])  # the vacuum sector is 1 x 1: U|0> is exactly phase |0>
+    distinct = {g.unitary: g.matrix() for g in gates}  # one locality check per distinct block
+    locality_dev = max((float(np.max(np.abs(fock_gate_matrix(gate_spec("B", 0, block), fock_rep(1))
+                                            - _lone_gate(block)))) for block in distinct.values()), default=0.0)
 
-    evolved = u @ rep.vacuum
-    phase = complex(np.vdot(rep.vacuum, evolved))
-    vacuum_dev = float(np.linalg.norm(evolved - phase * rep.vacuum))
-
-    overall = max(transfer_dev, vacuum_dev, abs(abs(phase) - 1.0), locality_dev)
-    return FockCheck(overall, transfer_dev, vacuum_dev, phase, locality_dev)
+    overall = max(transfer_dev, abs(abs(phase) - 1.0), locality_dev)
+    return FockCheck(overall, transfer_dev, 0.0, phase, locality_dev)
 
 
 def gates_to_json(gates: Sequence[GateSpec]) -> list[dict]:

@@ -107,7 +107,7 @@ def test_numpy_only_modules_do_not_import_scipy(tmp_path):
 
 def test_gates_verify_loads_scipy_on_demand(tmp_path):
     # a request at or below the bound is granted in closed form and the Fock oracle
-    # splits its blocks with numpy, so only scipy.sparse loads; a request past the
+    # runs on numpy index maps, so no scipy module loads; a request past the
     # bound runs the fits, and scipy.optimize with them
     feasible = [f"causalqca.recipes.run_recipe('gates_verify', {overrides}, out_dir={str(tmp_path / name)!r})"
                 for name, overrides in (("default", {}), ("five", {"n_sites": "5"}))]
@@ -116,9 +116,22 @@ def test_gates_verify_loads_scipy_on_demand(tmp_path):
     loaded = _scipy_after_each(["import causalqca.cli", *feasible, past])
     assert loaded["import causalqca.cli"] == []
     for step in feasible:
-        assert "scipy.sparse" in loaded[step]
-        assert not {"scipy.linalg", "scipy.optimize"} & set(loaded[step])
+        assert loaded[step] == []
     assert "scipy.optimize" in loaded[past]
+
+
+def test_every_golden_run_needs_no_scipy(tmp_path):
+    # one child in which importing scipy fails runs each recipe through the CLI at its golden parameters
+    code = ("import json, sys\nsys.modules['scipy'] = None\nfrom causalqca.cli import main\n"
+            "for name, params in json.loads(sys.argv[1]).items():\n"
+            "    sets = [arg for key, value in params.items() for arg in ('--set', f'{key}={value}')]\n"
+            "    code = main(['run', '--recipe', name, *sets, '--out', f'{sys.argv[2]}/{name}'])\n"
+            "    if code:\n        sys.exit(f'{name} exited {code}')\n")
+    subprocess.run([sys.executable, "-c", code, json.dumps(GOLDEN_PARAMS), str(tmp_path)],
+                   check=True, capture_output=True, env=_child_env())
+    drifted = [f"{name}/{frozen.name}" for name in GOLDEN_PARAMS for frozen in sorted((GOLDEN_DIR / name).iterdir())
+               if (tmp_path / name / frozen.name).read_bytes() != frozen.read_bytes()]
+    assert drifted == []
 
 
 @pytest.mark.parametrize("recipe, setting, message", [
