@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 when a recipe's built-in check fails, 2 on usage
 errors (unknown recipe, unknown parameter, malformed --set, a parameter value
-the recipe rejects, a size too large to allocate).
+the recipe rejects, a size too large to allocate) and when a run needs a module
+that cannot be imported (scipy, for a gate solve past the refraction bound).
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def main(argv: list[str] | None = None) -> int:
         result = run_recipe(args.recipe, overrides, args.out, svg=args.svg)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ImportError as exc:
+        print(f"error: this run needs {exc.name or 'a module'}, which cannot be imported ({exc})", file=sys.stderr)
         return 2
 
     status = "ok" if result.ok else "CHECK FAILED"

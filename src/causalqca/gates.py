@@ -529,7 +529,6 @@ def _sector_blocks(gates: Sequence[GateSpec], rep: FockRep) -> list[np.ndarray]:
 class FockCheck(NamedTuple):
     max_deviation: float
     transfer_deviation: float  # U phi_i - sum_j T_ij phi_j U against compose_row
-    vacuum_deviation: float  # |U|0> - phase|0>|
     vacuum_phase: complex
     locality_deviation: float  # each block's Fock gate vs its closed form on two wires
 
@@ -565,7 +564,7 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
                                             - _lone_gate(block)))) for block in distinct.values()), default=0.0)
 
     overall = max(transfer_dev, abs(abs(phase) - 1.0), locality_dev)
-    return FockCheck(overall, transfer_dev, 0.0, phase, locality_dev)
+    return FockCheck(overall, transfer_dev, phase, locality_dev)
 
 
 def gates_to_json(gates: Sequence[GateSpec]) -> list[dict]:

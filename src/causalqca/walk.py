@@ -15,11 +15,18 @@ the flow below the causal speed.  In momentum space the step is the 2x2 block
 whose eigenphases give the band ``cos E(p) = zeta * cos p``.  Sites live on a
 ring (n_sites even) so momentum space is exact; one step advances two gate
 rows, i.e. one site of transport per step.
+
+Real-space steps run in one kernel on two ring buffers of chirality rows.
+``step`` and ``evolve`` return site-major arrays in chirality-row memory order
+(the transpose of a C-ordered (2, n_sites) copy) that share no memory with the
+kernel or with each other.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -91,31 +98,53 @@ def random_state(params: WalkParams, rng: np.random.Generator) -> np.ndarray:
     return psi / np.linalg.norm(psi)
 
 
-def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
-    """Apply the walk unitary once (norm preserved to machine precision).
+def _steps(state: np.ndarray, params: WalkParams) -> Iterator[np.ndarray]:
+    """Yield the states 1, 2, ... steps after ``state``: the one real-space step kernel.
 
-    It runs on the contiguous chirality rows of ``state.T`` and returns their
-    transposed view ``out.T``: site-major values, chirality-row memory order.
+    Two (2, n_sites + 2) ring buffers take the steps in turn, chirality rows in
+    columns 1..n.  Column 0 of row 0 is a ghost of that row's last site and
+    column n + 1 of row 1 a ghost of its first, so each shift reads one slice.
+    Each yield is an (n_sites, 2) view that the step after next overwrites.
     """
-    if state.shape != (params.n_sites, 2):
-        raise ValueError(f"state shape {state.shape} does not match n_sites={params.n_sites}")
-    rows = np.asarray(state.T, order="C")
-    moved = params.zeta * rows
-    out = 1j * params.mu * rows[::-1]
-    out[0, 1:] += moved[0, :-1]
-    out[1, :-1] += moved[1, 1:]
-    out[0, 0] += moved[0, -1]  # the two shifts wrap around the ring
-    out[1, -1] += moved[1, 0]
-    return out.T
+    n = params.n_sites
+    if state.shape != (n, 2):
+        raise ValueError(f"state shape {state.shape} does not match n_sites={n}")
+    zeta, coupling = params.zeta, 1j * params.mu
+    moved = np.empty((2, n + 2), dtype=complex)
+    from_left, from_right = moved[0, :n], moved[1, 2:]  # zeta psi+_{m-1} and zeta psi-_{m+1} at site m
+    rings = []
+    for buffer in np.zeros((2, 2, n + 2), dtype=complex):
+        rows = buffer[:, 1:-1]
+        rings.append((buffer, rows, rows[::-1], rows[0], rows[1], rows.T))
+    rings[0][1][...] = state.T
+    cur, nxt = rings
+    while True:
+        buffer, _, swapped, _, _, _ = cur
+        buffer[0, 0], buffer[1, n + 1] = buffer[0, n], buffer[1, 1]  # the two shifts wrap around the ring
+        np.multiply(zeta, buffer, out=moved)
+        _, rows, _, plus, minus, out = nxt
+        np.multiply(coupling, swapped, out=rows)
+        plus += from_left
+        minus += from_right
+        yield out
+        cur, nxt = nxt, cur
+
+
+def step(state: np.ndarray, params: WalkParams) -> np.ndarray:
+    """Apply the walk unitary once (norm preserved to machine precision): ``evolve(state, params, 1)``."""
+    return evolve(state, params, 1)
 
 
 def evolve(state: np.ndarray, params: WalkParams, steps: int) -> np.ndarray:
-    """Apply ``steps`` walk steps in real space."""
+    """Apply ``steps`` walk steps in real space; zero steps return ``state`` itself.
+
+    The result is ``out.T`` for a fresh C-ordered copy ``out`` of the last chirality rows.
+    """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    for _ in range(steps):
-        state = step(state, params)
-    return state
+    for state in itertools.islice(_steps(state, params), steps):
+        pass
+    return state if steps == 0 else state.T.copy().T
 
 
 def dirac_form(zeta: float, mu: float, momenta: np.ndarray) -> np.ndarray:
@@ -274,11 +303,12 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     positions = np.arange(params.n_sites) - params.n_sites // 2
     means = np.empty(steps)
     norms = np.empty(steps)
+    states = _steps(psi, params)
     for t in range(steps):
         prob = np.sum(np.abs(psi) ** 2, axis=1)
         means[t] = float(np.sum(positions * prob))
         norms[t] = math.sqrt(np.sum(prob))
-        psi = step(psi, params)
+        psi = next(states)
     detrended = means - np.polyval(np.polyfit(np.arange(steps), means, 1), np.arange(steps))
     spectrum = np.fft.rfft(detrended)
     spectrum[0] = 0.0

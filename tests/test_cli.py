@@ -134,6 +134,20 @@ def test_every_golden_run_needs_no_scipy(tmp_path):
     assert drifted == []
 
 
+def test_a_solve_without_scipy_is_a_usage_error(tmp_path):
+    # a request past the bound runs the fits, which import scipy.optimize on first use;
+    # where scipy cannot be imported the run ends in a message naming it, not a traceback
+    out = tmp_path / "out"
+    code = ("import sys\nsys.modules['scipy'] = None\nfrom causalqca.cli import main\n"
+            "sys.exit(main(['run', '--recipe', 'gates_verify', '--set', 'zeta=0.9', '--out', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, text=True,
+                          timeout=60, env=_child_env())
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: this run needs scipy")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("recipe, setting, message", [
     ("gates_verify", "restarts=-1", "restarts must be at least 0, got -1"),
     ("zitter", "steps=0", "steps must be at least 2, got 0"),

@@ -114,6 +114,60 @@ def test_evolve_matches_roll_stencil_bit_for_bit():
     assert np.array_equal(evolve(psi, params, 300), ref)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 4]), st.floats(min_value=0.0, max_value=1.0), st.integers(0, 64),
+       st.integers(min_value=0, max_value=2**32 - 1))
+def test_evolve_on_the_smallest_rings_matches_roll_stencil_bit_for_bit(n_sites, mu, steps, seed):
+    # on 2 and 4 sites the ghost columns carry the whole wrap of each shift
+    params = WalkParams(n_sites, mu)
+    psi = random_state(params, np.random.default_rng(seed))
+    ref = psi
+    for _ in range(steps):
+        ref = _roll_step(ref, params)
+    assert np.array_equal(evolve(psi, params, steps), ref)
+
+
+def test_results_own_their_memory():
+    # each result is a fresh copy out of the step buffers: later steps, evolutions and
+    # zitter runs on the same ring leave its bytes alone, and no two results share memory
+    params = WalkParams(64, 0.6)
+    psi = random_state(params, np.random.default_rng(3))
+    results = [psi, step(psi, params), step(psi, params), evolve(psi, params, 1), evolve(psi, params, 2)]
+    results.append(step(results[1], params))
+    frozen = [r.tobytes() for r in results]
+    step(results[-1], params)
+    evolve(psi, params, 3)
+    zitter_frequency(params, p0=0.0, width=2.0, steps=16)
+    assert [r.tobytes() for r in results] == frozen
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(results) for b in results[i + 1:])
+
+
+def _roll_zitter(params, p0, width, steps):
+    # zitter_frequency's sampling loop on the roll stencil, its bitwise oracle
+    psi = gaussian_packet(params, p0=p0, width=width, chirality=(1.0, 1j))
+    positions = np.arange(params.n_sites) - params.n_sites // 2
+    means, norms = np.empty(steps), np.empty(steps)
+    for t in range(steps):
+        prob = np.sum(np.abs(psi) ** 2, axis=1)
+        means[t] = float(np.sum(positions * prob))
+        norms[t] = math.sqrt(np.sum(prob))
+        psi = _roll_step(psi, params)
+    return means, norms
+
+
+@pytest.mark.parametrize("n_sites, mu, p0, width, steps", [
+    (64, 0.6, 0.0, 2.0, 16),
+    (64, 0.0, 0.3, 2.0, 12),
+    (256, 0.3, -1.0, 4.0, 48),
+    (1024, 0.6, 0.0, 8.0, 1024),
+])
+def test_zitter_loop_matches_roll_stencil_bit_for_bit(n_sites, mu, p0, width, steps):
+    result = zitter_frequency(WalkParams(n_sites, mu), p0=p0, width=width, steps=steps)
+    means, norms = _roll_zitter(WalkParams(n_sites, mu), p0, width, steps)
+    assert result.mean_positions.tobytes() == means.tobytes()
+    assert result.norms.tobytes() == norms.tobytes()
+
+
 def test_step_reads_its_own_transposed_output_bit_for_bit():
     # step returns a transposed view of its chirality rows; a C-ordered copy of
     # that state must step to the same bits
