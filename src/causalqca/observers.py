@@ -34,7 +34,13 @@ from .lattice import Event, causally_precedes
 
 @dataclass(frozen=True)
 class ObserverSpec:
-    """A periodic zigzag chain: pattern over {R, L} plus the index-0 event."""
+    """A periodic zigzag chain: pattern over {R, L} plus the index-0 event.
+
+    ``_radar_table`` holds the period and, per light-cone axis (u counts R steps,
+    v counts L), the origin, the steps per period and offset tuples last and
+    first: with q, r = divmod(c - origin, steps), q * period + last[r] is the last
+    chain index with that coordinate <= c, q * period + first[r] the first >= c.
+    """
 
     pattern: str
     origin: Event = Event(0, 0)
@@ -94,20 +100,11 @@ class ObserverSpec:
         return replace(self, origin=Event(self.origin.u + du, self.origin.v + dv))
 
     @cached_property
-    def _step_ends(self) -> dict[str, tuple[int, ...]]:
-        """Per step kind, the index just after each such step within one period."""
-        return {kind: tuple(i + 1 for i, ch in enumerate(self.pattern) if ch == kind)
-                for kind in "RL"}
-
-    def first_u_at_least(self, target: int) -> int:
-        """Smallest chain index n with u_at(n) >= target."""
-        q, k = divmod(target - self.origin.u - 1, self.n_right)
-        return q * self.period + self._step_ends["R"][k]
-
-    def first_v_at_least(self, target: int) -> int:
-        """Smallest chain index n with v_at(n) >= target."""
-        q, k = divmod(target - self.origin.v - 1, self.n_left)
-        return q * self.period + self._step_ends["L"][k]
+    def _radar_table(self) -> tuple:
+        def axis(start: int, kind: str) -> tuple:
+            ends = [i + 1 for i, ch in enumerate(self.pattern) if ch == kind]  # index after each step
+            return start, len(ends), tuple(n - 1 for n in ends), tuple([ends[-1] - self.period] + ends[:-1])
+        return self.period, axis(self.origin.u, "R"), axis(self.origin.v, "L")
 
     def leaf_step(self) -> tuple[int, int]:
         """Displacement between neighbouring events of one simultaneity leaf."""
@@ -138,16 +135,21 @@ def radar_coordinates(spec: ObserverSpec, e: Event) -> RadarCoordinate:
     The bracket [t1, t2] holds the last chain index in the causal past of
     ``e`` and the first in its causal future; t_obs is the midpoint and
     |x_obs| the half width.  x_obs is positive when the emission leaves the
-    chain rightward (e on the observer's right).
+    chain rightward (e on the observer's right).  Each bracket end is one
+    divmod per light-cone axis and a lookup in the spec's ``_radar_table``.
     """
-    last_u = spec.first_u_at_least(e.u + 1) - 1  # last index with u <= e.u
-    last_v = spec.first_v_at_least(e.v + 1) - 1
-    t1 = min(last_u, last_v)
-    t2 = max(spec.first_u_at_least(e.u), spec.first_v_at_least(e.v))
+    period, (ou, nu, last_u, first_u), (ov, nv, last_v, first_v) = spec._radar_table
+    qu, ru = divmod(e.u - ou, nu)
+    qv, rv = divmod(e.v - ov, nv)
+    qu, qv = qu * period, qv * period
+    t1_u, t1_v = qu + last_u[ru], qv + last_v[rv]
+    t2_u, t2_v = qu + first_u[ru], qv + first_v[rv]
+    t2 = t2_u if t2_u > t2_v else t2_v
     # the emission event sits on the right-moving past ray iff the v side
     # binds; a chain event has gap 0, and int 0 / 2 is +0.0, never -0.0
-    gap = t2 - t1 if last_v < last_u else t1 - t2
-    return RadarCoordinate((t1 + t2) / 2, gap / 2)
+    if t1_v < t1_u:
+        return RadarCoordinate((t1_v + t2) / 2, (t2 - t1_v) / 2)
+    return RadarCoordinate((t1_u + t2) / 2, (t1_u - t2) / 2)
 
 
 class Window(NamedTuple):
@@ -157,12 +159,10 @@ class Window(NamedTuple):
     x_range: tuple[int, int]
 
     def events(self) -> Iterator[Event]:
-        for t in range(self.t_range[0], self.t_range[1] + 1):
-            x0 = self.x_range[0]
-            if (t + x0) % 2 != 0:
-                x0 += 1
-            for x in range(x0, self.x_range[1] + 1, 2):
-                yield Event.from_tx(t, x)
+        (t_lo, t_hi), (x_lo, x_hi) = self
+        for t in range(t_lo, t_hi + 1):
+            for x in range(x_lo + (t + x_lo) % 2, x_hi + 1, 2):  # t + x even: a lattice event
+                yield Event((t + x) // 2, (t - x) // 2)
 
     @classmethod
     def centered(cls, t_radius: int, x_radius: int) -> "Window":

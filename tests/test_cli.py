@@ -329,6 +329,16 @@ def test_failed_check_exits_one(tmp_path, capsys):
     assert payload["ok"] is False
 
 
+def test_front_speed_check_holds_at_any_run_length(tmp_path):
+    # the front's lead over zeta shrinks with the run length, so short runs must pass too
+    for steps in (50, 100, 400):
+        for mu in (0.3, 0.6, 0.9):
+            out = tmp_path / f"{steps}_{mu}"
+            code = main(["run", "--recipe", "front_speed", "--set", f"steps={steps}", "--set", f"mu={mu}",
+                         "--out", str(out)])
+            assert code == 0, json.loads((out / "front_speed.json").read_text())["summary"]
+
+
 def test_reruns_are_byte_identical(tmp_path):
     for sub in ("a", "b"):
         run_recipe("dispersion", {"n_sites": "16"}, tmp_path / sub)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from causalqca.lattice import Event, causally_precedes
 from causalqca.observers import (
@@ -72,11 +72,32 @@ def test_chain_steps_and_periodicity(pattern, n):
     assert (shifted.u - here.u, shifted.v - here.v) == (spec.n_right, spec.n_left)
 
 
-@given(patterns, coords, coords, coords)
-def test_closed_form_indices_match_the_search(pattern, u0, v0, target):
-    spec = ObserverSpec(pattern, Event(u0, v0))
-    assert spec.first_u_at_least(target) == _first_at_least(spec.u_at, target)
-    assert spec.first_v_at_least(target) == _first_at_least(spec.v_at, target)
+def _radar_oracle(spec: ObserverSpec, e: Event) -> tuple[Fraction, Fraction]:
+    """Radar (t, x) from the searched bracket, in exact rationals."""
+    last_u = _first_at_least(spec.u_at, e.u + 1) - 1
+    last_v = _first_at_least(spec.v_at, e.v + 1) - 1
+    t1 = min(last_u, last_v)
+    t2 = max(_first_at_least(spec.u_at, e.u), _first_at_least(spec.v_at, e.v))
+    half_gap = Fraction(t2 - t1, 2)
+    return Fraction(t1 + t2, 2), half_gap if last_v < last_u else -half_gap
+
+
+@given(patterns, origins, coords, coords)
+@example("RRRL", Event(50, -50), 2**51 + 3, -(2**51) + 1)  # the far end of einstein_clock's range
+@example("LR", Event(-50, 50), -(2**51), 2**51 - 1)
+def test_radar_table_matches_the_search(pattern, origin, u, v):
+    # repr, not ==: a -0.0 distance would compare equal to the oracle's 0
+    spec, e = ObserverSpec(pattern, origin), Event(u, v)
+    oracle = tuple(float(c) for c in _radar_oracle(spec, e))
+    assert repr(tuple(radar_coordinates(spec, e))) == repr(oracle)
+
+
+@given(patterns, origins, coords, coords, coords, coords)
+def test_radar_is_translation_invariant(pattern, origin, du, dv, u, v):
+    # each spec builds its own table, so the translated chart must be bit for bit the same
+    spec = ObserverSpec(pattern, origin)
+    moved = radar_coordinates(spec.translated(du, dv), Event(u + du, v + dv))
+    assert repr(tuple(moved)) == repr(tuple(radar_coordinates(spec, Event(u, v))))
 
 
 def test_radar_examples():
@@ -186,16 +207,6 @@ def test_boost_map_identity_and_translation():
     assert abs(fit.beta) < 0.02
     assert fit.offset[0] == pytest.approx(-4.0, abs=0.2)  # t shift of the new origin
     assert fit.max_residual <= 1.0
-
-
-def _radar_oracle(spec: ObserverSpec, e: Event) -> tuple[Fraction, Fraction]:
-    """Radar (t, x) from the searched bracket, in exact rationals."""
-    last_u = _first_at_least(spec.u_at, e.u + 1) - 1
-    last_v = _first_at_least(spec.v_at, e.v + 1) - 1
-    t1 = min(last_u, last_v)
-    t2 = max(_first_at_least(spec.u_at, e.u), _first_at_least(spec.v_at, e.v))
-    half_gap = Fraction(t2 - t1, 2)
-    return Fraction(t1 + t2, 2), half_gap if last_v < last_u else -half_gap
 
 
 @settings(max_examples=60)
