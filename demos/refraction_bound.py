@@ -33,7 +33,7 @@ gate_a, gate_b = canonical_gates(zeta, mu)
 t = compose_row(tile_gates(gate_a, gate_b, 8), 8)
 print(f"A = {gate_a.matrix().round(3).tolist()}")
 print(f"B = {gate_b.matrix().round(3).tolist()} (a swap)")
-print(f"combination defect against the Dirac form: {check_fb_combination(t, zeta, mu / 2):.2e}")
+print(f"combination defect against the Dirac form: {check_fb_combination(t, zeta, mu):.2e}")
 
 print("\n== searching near the bound (mu = 0.6, zeta_max = 0.8) ==")
 for zeta_req in (0.8 * (1 - 1e-6), 0.8 * 1.001, 0.9):

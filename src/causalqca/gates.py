@@ -216,22 +216,21 @@ def compose_row(gates: Iterable[GateSpec], n_sites: int, periodic: bool = True) 
     return _row_transfer(b_row, n_sites, periodic) @ _row_transfer(a_row, n_sites, periodic)
 
 
-def check_fb_combination(t: np.ndarray, zeta_target: float, a_over_lambda: float) -> float:
+def check_fb_combination(t: np.ndarray, zeta: float, mu: float) -> float:
     """Largest plus-row defect of the forward-minus-backward combination.
 
-    The combination C = T - T^dag of a periodic row must place zeta_target at
-    site+1, -zeta_target at site-1 and -4j*(a/lambda) on the site's minus
-    mode, with every other entry cancelling.  Returns the maximum l2 row
-    deviation over all sites.
+    The combination C = T - T^dag of a periodic row must place zeta at
+    site+1, -zeta at site-1 and -2j*mu on the site's minus mode, with every
+    other entry cancelling.  Returns the maximum l2 row deviation over all sites.
     """
     n_sites = t.shape[0] // 2
     combo = t - t.conj().T
-    coupling = -4j * a_over_lambda
+    coupling = -2j * mu
     worst = 0.0
     for n in range(n_sites):
         target = np.zeros(2 * n_sites, dtype=complex)
-        target[mode_index((n + 1) % n_sites, PLUS, n_sites)] = zeta_target
-        target[mode_index((n - 1) % n_sites, PLUS, n_sites)] = -zeta_target
+        target[mode_index((n + 1) % n_sites, PLUS, n_sites)] = zeta
+        target[mode_index((n - 1) % n_sites, PLUS, n_sites)] = -zeta
         target[mode_index(n, MINUS, n_sites)] = coupling
         dev = np.linalg.norm(combo[mode_index(n, PLUS, n_sites)] - target)
         worst = max(worst, float(dev))
@@ -351,8 +350,6 @@ class GateSolution(NamedTuple):
     achieved_zeta: float  # flow speed carried by the returned gates' rows
     requested_residual: float  # the returned gates' defect against the requested (zeta, mu) target
     restart_residuals: tuple[float, ...]  # each fit's defect; empty at or below the bound
-    restarts: int  # number of fits run: 0 at or below the bound
-    seed: int
 
 
 def _defect(a: np.ndarray, b: np.ndarray, zeta: float, mu: float) -> float:
@@ -466,8 +463,6 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
         achieved_zeta=float((gate_b.unitary[0][1] * gate_a.unitary[0][1]).real),
         requested_residual=requested,
         restart_residuals=tuple(finals),
-        restarts=len(finals),
-        seed=seed,
     )
 
 

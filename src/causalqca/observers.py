@@ -30,6 +30,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .lattice import Event, causally_precedes
+from .walk import _line_fit
 
 
 @dataclass(frozen=True)
@@ -254,16 +255,6 @@ def fit_lorentz(mapping: np.ndarray) -> BoostFit:
     return BoostFit(beta=(k_v - k_u) / (k_v + k_u), gamma=(k_u + k_v) / 2,
                     max_residual=float(np.max(np.abs(r_u) + np.abs(r_v))) / 2 * sb,
                     determinant=k_u * k_v, offset=((c_u + c_v) / 2 * sb, (c_u - c_v) / 2 * sb))
-
-
-def _line_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Least-squares slope, intercept and residuals of b against a, with math.fsum sums."""
-    if a.min() == a.max():
-        raise ValueError("degenerate sample set: events do not span the chart plane")
-    mx, my = math.fsum(a.tolist()) / len(a), math.fsum(b.tolist()) / len(b)
-    dx, dy = a - mx, b - my
-    slope = math.fsum((dx * dy).tolist()) / math.fsum((dx * dx).tolist())
-    return slope, my - slope * mx, dy - slope * dx
 
 
 def velocity_addition(beta_ab: float, beta_bc: float) -> float:

@@ -310,8 +310,8 @@ def _gates_verify(svg: bool, *, zeta: float = 0.8, mu: float = 0.6, n_sites: int
         "residual": _decade_bound(solution.residual),
         "requested_residual": _decade_bound(solution.requested_residual),
         "achieved_zeta": round(solution.achieved_zeta, 9),
-        "restarts": solution.restarts,
-        "seed": solution.seed,
+        "restarts": len(solution.restart_residuals),
+        "seed": seed,
         "fock_max_deviation": _decade_bound(fock.max_deviation),
         "vacuum_phase_re": round(fock.vacuum_phase.real, 9),
         "vacuum_phase_im": round(fock.vacuum_phase.imag, 9),

@@ -269,6 +269,17 @@ class ZitterResult(NamedTuple):
     norms: np.ndarray  # state norm at each step (unitarity monitor)
 
 
+def _line_fit(a: np.ndarray, b: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Least-squares slope, intercept and residuals of b against a, free of sample order and BLAS via math.fsum."""
+    mx, my = math.fsum(a.tolist()) / len(a), math.fsum(b.tolist()) / len(b)
+    dx, dy = a - mx, b - my
+    spread = math.fsum((dx * dx).tolist())  # 0 also where every dx is below about 1e-162 and squares to 0
+    if a.min() == a.max() or spread == 0.0:
+        raise ValueError("degenerate sample set: the abscissae do not spread")
+    slope = math.fsum((dx * dy).tolist()) / spread
+    return slope, my - slope * mx, dy - slope * dx
+
+
 def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) -> ZitterResult:
     """Dominant oscillation frequency of the packet's mean position.
 
@@ -290,6 +301,8 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
         raise ValueError(f"width must be positive, got {width}")
     gap = 2.0 * math.acos(params.zeta * math.cos(p0))
     folded = min(gap, 2.0 * math.pi - gap)  # the alias that one sample per step sees
+    if params.zeta == 0.0:
+        raise ValueError(f"mu={params.mu} has zeta = 0: the step swaps chiralities in place, so <x>(t) is constant")
     if params.mu > 0.0 and folded == 0.0:  # zeta * cos(p0) rounded to +-1: no step count resolves it
         how = "rounds" if gap == 0.0 else "aliases"
         raise ValueError(f"mu={params.mu} has a band gap at p0={p0} that {how} to zero")
@@ -309,8 +322,7 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
         means[t] = float(np.sum(positions * prob))
         norms[t] = math.sqrt(np.sum(prob))
         psi = next(states)
-    detrended = means - np.polyval(np.polyfit(np.arange(steps), means, 1), np.arange(steps))
-    spectrum = np.fft.rfft(detrended)
+    spectrum = np.fft.rfft(_line_fit(np.arange(steps), means)[2])  # detrended: the line fit's residuals
     spectrum[0] = 0.0
     peak = int(np.argmax(np.abs(spectrum)))
     return ZitterResult(
@@ -322,23 +334,23 @@ def zitter_frequency(params: WalkParams, p0: float, width: float, steps: int) ->
     )
 
 
+def _stride_generator(w: np.ndarray, k: int) -> np.ndarray:
+    """1j*(W**-k - W**k)/(2k) for unitary blocks W of shape (..., 2, 2), with W**-k = (W**k)^dagger."""
+    forward = np.linalg.matrix_power(w, k)
+    return 1j * (np.conj(np.swapaxes(forward, -1, -2)) - forward) / (2.0 * k)
+
+
 def effective_hamiltonian_check(params: WalkParams, k: int) -> float:
     """Largest deviation of the coarse-grained generator from its closed form.
 
-    The generator at stride k is 1j*(W(p)**-k - W(p)**k)/(2k), built here by
-    explicit 2x2 matrix products; it must equal
+    The generator at stride k is 1j*(W(p)**-k - W(p)**k)/(2k), built here from
+    repeated products of the step blocks; it must equal
     sin(kE)/(k sin E) * (zeta sin p sigma_z + mu sigma_x) at every momentum.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     p = params.momenta()
-    w = momentum_blocks(params, 1)
-    forward = np.broadcast_to(np.eye(2, dtype=complex), w.shape).copy()
-    for _ in range(k):
-        forward = np.einsum("pij,pjk->pik", w, forward)
-    backward = np.conj(np.swapaxes(forward, 1, 2))  # W**-k = (W**k)^dagger
-    generator = 1j * (backward - forward) / (2.0 * k)
-
+    generator = _stride_generator(momentum_blocks(params, 1), k)
     energy, sin_e = _band(params.zeta, p)
     ratio = np.where(sin_e > 0, np.sin(k * energy) / (k * np.where(sin_e > 0, sin_e, 1.0)), 1.0)
     target = ratio[:, None, None] * dirac_form(params.zeta, params.mu, p)
@@ -349,8 +361,7 @@ def generator_small_limit_deviation(mu: float, p: float, k: int = 2) -> float:
     """Deviation of the stride-k generator from the leading form zeta*p*sigma_z + mu*sigma_x."""
     zeta = math.sqrt(1.0 - mu * mu)
     w = np.array([[zeta * np.exp(1j * p), 1j * mu], [1j * mu, zeta * np.exp(-1j * p)]])
-    forward = np.linalg.matrix_power(w, k)
-    generator = 1j * (forward.conj().T - forward) / (2.0 * k)
+    generator = _stride_generator(w, k)
     target = zeta * p * _SIGMA_Z + mu * _SIGMA_X
     return float(np.max(np.abs(generator - target)))
 
@@ -363,5 +374,4 @@ def generator_small_limit_slope() -> float:
     """
     s = np.geomspace(5e-3, 0.14, 12)
     devs = np.array([generator_small_limit_deviation(x / math.sqrt(2.0), x / math.sqrt(2.0)) for x in s])
-    slope, _ = np.polyfit(np.log(s), np.log(devs), 1)
-    return float(slope)
+    return _line_fit(np.log(s), np.log(devs))[0]

@@ -121,8 +121,11 @@ def test_gates_verify_loads_scipy_on_demand(tmp_path):
 
 
 def test_every_golden_run_needs_no_scipy(tmp_path):
-    # one child in which importing scipy fails runs each recipe through the CLI at its golden parameters
-    code = ("import json, sys\nsys.modules['scipy'] = None\nfrom causalqca.cli import main\n"
+    # one child in which importing scipy fails runs each recipe through the CLI at its golden parameters;
+    # np.polyfit and np.linalg.lstsq raise there too, so no golden rests on a LAPACK line fit
+    code = ("import json, sys\nsys.modules['scipy'] = None\nimport numpy\n"
+            "def no_fit(*args, **kwargs):\n    raise AssertionError('a golden run fits through LAPACK')\n"
+            "numpy.polyfit = numpy.linalg.lstsq = no_fit\nfrom causalqca.cli import main\n"
             "for name, params in json.loads(sys.argv[1]).items():\n"
             "    sets = [arg for key, value in params.items() for arg in ('--set', f'{key}={value}')]\n"
             "    code = main(['run', '--recipe', name, *sets, '--out', f'{sys.argv[2]}/{name}'])\n"
@@ -161,6 +164,8 @@ def test_a_solve_without_scipy_is_a_usage_error(tmp_path):
     ("zitter", "mu=1e-9", "mu=1e-09 has a band gap at p0=0.0 that rounds to zero"),
     ("zitter", "mu=1e-9 p0=3.141592653589793",
      "mu=1e-09 has a band gap at p0=3.141592653589793 that aliases to zero"),
+    # zeta = 0: the step swaps chiralities in place, so there is no oscillation to find
+    ("zitter", "mu=1", "mu=1.0 has zeta = 0"),
     # 2**49: the brackets of the period-4 clock reach 4 * 4 * 2**49 = 2**53, where floats stop counting
     ("fig1", "separation=562949953421312",
      "mirror_separation must be at most 562949953421311 for the period-4 pattern RRRL, got 562949953421312"),

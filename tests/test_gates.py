@@ -314,7 +314,7 @@ def test_fb_combination_trivial_and_canonical():
 
     ga, gb = canonical_gates(0.8, 0.6)
     t = compose_row(tile_gates(ga, gb, n), n)
-    assert check_fb_combination(t, 0.8, 0.3) < 1e-12  # a/lambda = mu/2
+    assert check_fb_combination(t, 0.8, 0.6) < 1e-12
 
 
 def test_fb_combination_sensitive_to_perturbations():
@@ -322,7 +322,7 @@ def test_fb_combination_sensitive_to_perturbations():
     ga, gb = canonical_gates(0.8, 0.6)
     bumped = gate_spec("A", 0, ga.matrix() * np.exp(1e-3j))
     t = compose_row(tile_gates(bumped, gb, n), n)
-    assert check_fb_combination(t, 0.8, 0.3) >= 1e-4
+    assert check_fb_combination(t, 0.8, 0.6) >= 1e-4
 
 
 def test_solve_gates_massless():
@@ -482,7 +482,7 @@ def test_solve_gates_fits_each_start_once(monkeypatch, factor, status, calls):
     monkeypatch.setattr(gates, "leastsq", counted)
     sol = solve_gates(factor * 0.8, 0.6, restarts=20, seed=0)
     assert sol.status == status
-    assert len(fits) == sol.restarts == len(sol.restart_residuals) == calls
+    assert len(fits) == len(sol.restart_residuals) == calls
     if status == "feasible":
         assert (sol.gate_a, sol.gate_b) == canonical_gates(0.8, 0.6)
 
@@ -504,7 +504,7 @@ def test_a_request_at_or_below_the_bound_is_granted_in_closed_form(mu, factor):
         sol = solve_gates(zeta, mu, restarts=20, seed=7)
     assert sol.status == "feasible" and sol.residual <= 1e-8
     assert (sol.gate_a, sol.gate_b) == canonical_gates(zeta_max, mu)
-    assert sol.restarts == 0 and sol.restart_residuals == () and sol.seed == 7
+    assert sol.restart_residuals == ()
     # the grant's combination is -2i (zeta_max sin p sigma_z + mu sigma_x) by the Dirac
     # form, so against the literal target it is off by 2 (zeta_max - zeta) sin p,
     # largest at the grid momentum p = pi/2

@@ -274,6 +274,10 @@ def test_fit_lorentz_rejects_bad_samples():
     collapsed = np.array([[t, (t * 7) % 5 - 2, 0, 0] for t in range(10)], dtype=float)
     with pytest.raises(ValueError, match="degenerate sample set"):
         fit_lorentz(collapsed)  # A spans its chart, B is one point: k_u + k_v = 0
+    # u = tA + xA spreads by 1e-200 on all but one sample, whose offsets from the mean square to 0
+    tiny = np.array([[1e-200 * k, 1e-200 * k, k, k] for k in range(7)] + [[1.0, -1.0, 1.0, -1.0]])
+    with pytest.raises(ValueError, match="degenerate sample set"):
+        fit_lorentz(tiny)
 
 
 def test_emergent_boost_fits():
