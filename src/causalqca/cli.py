@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a recipe's built-in check fails, 2 on usage
 errors (unknown recipe, unknown parameter, malformed --set, a parameter value
 the recipe rejects, a size too large to allocate) and when a run needs a module
-that cannot be imported (scipy, for a gate solve past the refraction bound).
+that cannot be imported (scipy, for a gate solve past the refraction bound that
+runs restarts).
 """
 
 from __future__ import annotations

@@ -14,11 +14,12 @@ discrete Dirac combination
 
 and row normalization of the unitary T bounds the flow speed by
 ``zeta <= sqrt(1 - mu**2)``: the refraction-index bound that
-:func:`solve_gates` decides in closed form.  In momentum space the combination is
-a trigonometric polynomial of degree one, C(p) = C0 + Cp e^{ip} - Cp^dag e^{-ip},
-so the fits behind an infeasible verdict run on those three Fourier coefficients;
-the defect they report is still the largest deviation over the 16 lattice
-momenta.  Each fit is one MINPACK lmder call through ``leastsq``.
+:func:`solve_gates` decides in closed form, returning the saturating pair on or
+below it and the least-squares optimum past it.  In momentum space the combination
+is a trigonometric polynomial of degree one, C(p) = C0 + Cp e^{ip} - Cp^dag e^{-ip},
+so the random fits that check the proved floor past the bound run on those three
+Fourier coefficients, one MINPACK lmder call through ``leastsq`` each; the defect
+they report is still the largest deviation over the 16 lattice momenta.
 
 Everything is cross-checked against an exact Fock representation on short
 chains, in numpy alone: every gate keeps the particle number, so the step is
@@ -27,9 +28,9 @@ built sector by sector from each gate's closed form 1, T^dag, conj(det T) on
 anticommutation are verified brute force, all modes at once, with the
 Jordan-Wigner modes as signed gathers.  Each block's closed form is checked
 against the product ``prod_k (1 + (e^{i d_k} - 1) b_k^dag b_k)`` over its normal
-modes b_k, split out by numpy's eigh.  Only a solve past the bound loads scipy,
-``scipy.optimize``; ``least_squares``, ``expm`` and ``logm`` are stand-ins
-only perfbench/tracer.py calls.
+modes b_k, split out by numpy's eigh.  Only the floor-check fits of a solve past
+the bound load scipy, ``scipy.optimize``; ``least_squares``, ``expm`` and ``logm``
+are stand-ins only perfbench/tracer.py calls.
 """
 
 from __future__ import annotations
@@ -249,7 +250,7 @@ def refraction_bound(mu: float) -> RefractionBound:
     index of at least 1/zeta_max.
     """
     if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]: stronger coupling has no unitary row")
+        raise ValueError(f"mu must lie in [0, 1], got {mu}")
     zeta_max = math.sqrt(1.0 - mu * mu)
     n_min = math.inf if zeta_max == 0.0 else 1.0 / zeta_max
     return RefractionBound(zeta_max=zeta_max, n_min=n_min)
@@ -349,7 +350,7 @@ class GateSolution(NamedTuple):
     residual: float  # combination defect of the returned gates (their own form)
     achieved_zeta: float  # flow speed carried by the returned gates' rows
     requested_residual: float  # the returned gates' defect against the requested (zeta, mu) target
-    restart_residuals: tuple[float, ...]  # each fit's defect; empty at or below the bound
+    restart_residuals: tuple[float, ...]  # each floor-check fit's defect; empty at or below the bound
 
 
 def _defect(a: np.ndarray, b: np.ndarray, zeta: float, mu: float) -> float:
@@ -358,34 +359,36 @@ def _defect(a: np.ndarray, b: np.ndarray, zeta: float, mu: float) -> float:
     return float(np.max(np.abs(_momentum_combination(a, b, _MOMENTA) - target)))
 
 
-def _optimize_combination(
-    zeta: float, mu: float, starts: Sequence[np.ndarray]
-) -> tuple[np.ndarray, float, list[float]]:
-    best_x, best, finals = None, math.inf, []
-    for x0 in starts:
+def _restart_defects(zeta: float, mu: float, restarts: int, seed: int) -> list[float]:
+    """The defect against (zeta, mu) at which each of ``restarts`` fits from seeded random starts stops."""
+    rng, defects = np.random.default_rng(seed), []
+    for _ in range(restarts):
         # full_output keeps a stop at maxfev silent; diag=None scales by column norms
-        x = leastsq(_residual, x0, args=(zeta, mu), Dfun=_jacobian, full_output=True, col_deriv=1,
-                    ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=800, factor=100, diag=None)[0]
-        defect = _defect(_u2(x[:4]), _u2(x[4:]), zeta, mu)
-        finals.append(defect)
-        if defect < best:
-            best_x, best = x, defect
-    return best_x, best, finals
+        x = leastsq(_residual, rng.uniform(-math.pi, math.pi, size=8), args=(zeta, mu), Dfun=_jacobian,
+                    full_output=True, col_deriv=1, ftol=1e-15, xtol=1e-15, gtol=1e-15, maxfev=800, factor=100,
+                    diag=None)[0]
+        defects.append(_defect(_u2(x[:4]), _u2(x[4:]), zeta, mu))
+    return defects
 
 
-def _warm_start(z: float, m: float) -> np.ndarray:
-    # exact parameters of the canonical saturating pair:
-    # A = [[-1j m, z], [z, -1j m]] and B = swap
-    a_params = (-math.pi / 2, math.atan2(z, m), 0.0, math.pi / 2)
-    b_params = (math.pi / 2, math.pi / 2, 0.0, -math.pi / 2)
-    return np.array(a_params + b_params)
+def _projection(zeta: float, mu: float) -> tuple[float, float]:
+    """(x, y) = (64 zeta / (64 + lam), 128 mu / (128 + lam)) on the unit circle, for hypot(zeta, mu) = h > 1.
 
+    x**2 + y**2 falls as lam grows; it is at least (64 h / (64 + lam))**2 and at most
+    (128 h / (128 + lam))**2, so its root lies in [64 (h - 1), 128 (h - 1)], where bisection
+    closes on it to one ulp.
+    """
+    def point(lam: float) -> tuple[float, float]:
+        return 64.0 * zeta / (64.0 + lam), 128.0 * mu / (128.0 + lam)
 
-def _fix_gauge(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rephase B's columns and A's rows into the gauge stated in solve_gates."""
-    lead = b[np.argmax(np.abs(b), axis=0), [0, 1]]
-    d = np.conj(lead) / np.abs(lead)
-    return np.conj(d[::-1])[:, None] * a, b * d[None, :]
+    excess = math.hypot(zeta, mu) - 1.0
+    lo, hi = 64.0 * excess, 128.0 * excess
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if math.hypot(*point(mid)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return point(hi)
 
 
 def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> GateSolution:
@@ -396,8 +399,7 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     (unitarity forces the Hermitian and anti-Hermitian parts of the transfer
     block to commute, which pins the speed).  So a request at or below the
     bound is 'feasible', granted with no fit by ``canonical_gates(zeta_max, mu)``:
-    ``achieved_zeta`` is zeta_max, ``residual`` its defect over the 16 momenta
-    (at most 1e-8), ``requested_residual`` 2 (zeta_max - zeta) by the Dirac form.
+    ``requested_residual`` is 2 (zeta_max - zeta) by the Dirac form.
 
     A request above the bound is 'infeasible' by a floor every pair obeys
     (Bisio, D'Ariano and Tosini, arXiv:1212.2839).  U(2) blocks have
@@ -407,63 +409,44 @@ def solve_gates(zeta: float, mu: float, restarts: int = 20, seed: int = 0) -> Ga
     S >= 64 (zeta - x)_+**2 + 128 (mu - y)_+**2 >= 64 (hypot(zeta, mu) - 1)**2
     over 64 complex entries, so every pair's defect is at least hypot(zeta, mu) - 1.
 
-    A request past the bound is fitted to the literal (zeta, mu) target from
-    its analytic warm starts plus ``restarts`` random points in U(2) x U(2), on
-    the combination's three Fourier coefficients (whose weighted sum of
-    squares equals the grid's), by MINPACK's lmder through ``leastsq`` with
-    column-norm scaling, so the fits do not follow ``least_squares``'
-    default ``x_scale``, which scipy 1.16 changed.  Each restart's defect is
-    in ``restart_residuals``, the best is ``requested_residual``; both repeat
-    bit for bit within a process, not always between processes.  A restart
-    below the floor, taken one ulp low against the rounding of hypot, can
-    only be a bug and makes the run 'undetermined'.
+    The first bound is attained: ``canonical_gates(x, y)`` with x**2 + y**2 = 1 has
+    the combination -2i (x sin p sigma_z + y sigma_x), so its S is exactly
+    64 (zeta - x)**2 + 128 (mu - y)**2, least past the bound at the weighted
+    projection of (zeta, mu), x = 64 zeta / (64 + lam) and y = 128 mu / (128 + lam)
+    with lam >= 0 the root of x**2 + y**2 = 1.  That canonical pair is the
+    least-squares optimum over all pairs, and it is returned.  Either way
+    ``achieved_zeta`` is x, ``residual`` the pair's defect against its own (x, y)
+    (at most 1e-8) and ``requested_residual`` its defect against (zeta, mu).
 
-    An infeasible run returns its best fit in a fixed gauge.  The step is
-    unchanged by B -> B diag(e^{i alpha}, e^{i beta}), A -> diag(e^{-i beta},
-    e^{-i alpha}) A, so B's largest-magnitude entry in each column is made real
-    and positive and A's rows are counter-rotated to match; the canonical pair
-    is in that gauge already.
+    Past the bound, ``restarts`` fits from seeded random points of U(2) x U(2)
+    check the floor: MINPACK's lmder through ``leastsq`` on the combination's
+    three Fourier coefficients, scaled by column norms (``least_squares``' default
+    ``x_scale`` changed in scipy 1.16).  Their defects are ``restart_residuals``,
+    which repeat bit for bit within a process, not always between processes, and
+    nothing else returned depends on them.  One below the floor, taken one ulp low
+    against the rounding of hypot, can only be a bug and makes the run
+    'undetermined'.  With no restarts the proof alone decides, and no scipy loads.
     """
     if not 0.0 < zeta < math.inf:
         raise ValueError(f"zeta must be finite and positive, got {zeta}")
     if zeta > _ZETA_CAP:
         raise ValueError(f"zeta must be at most {_ZETA_CAP} to keep the fit finite, got {zeta}")
-    if not 0.0 <= mu <= 1.0:
-        raise ValueError("mu must lie in [0, 1]")
+    zeta_max = refraction_bound(mu).zeta_max
     if restarts < 0:
         raise ValueError(f"restarts must be at least 0, got {restarts}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
-    zeta_max = math.sqrt(1.0 - mu * mu)
-    if zeta <= zeta_max:
-        gate_a, gate_b = canonical_gates(zeta_max, mu)
-        residual = _defect(gate_a.matrix(), gate_b.matrix(), zeta_max, mu)
-        requested = residual if zeta == zeta_max else _defect(gate_a.matrix(), gate_b.matrix(), zeta, mu)
-        status, finals = ("feasible" if residual <= _TOL else "undetermined"), []
-    else:
-        rng = np.random.default_rng(seed)
-        starts = [_warm_start(math.sqrt(1 - mu**2), mu)]
-        if zeta <= 1:
-            starts.append(_warm_start(zeta, math.sqrt(max(0.0, 1 - zeta**2))))
-        starts += [rng.uniform(-math.pi, math.pi, size=8) for _ in range(restarts)]
-        best_x, requested, finals = _optimize_combination(zeta, mu, starts)
-        a, b = _fix_gauge(_u2(best_x[:4]), _u2(best_x[4:]))
-        gate_a, gate_b = gate_spec("A", 0, a), gate_spec("B", 0, b)
-        residual = requested
-        floor = math.nextafter(math.hypot(zeta, mu), 0.0) - 1.0  # one ulp low: hypot rounds
-        status = "infeasible" if min(finals) >= floor else "undetermined"
-
-    return GateSolution(
-        status=status,
-        gate_a=gate_a,
-        gate_b=gate_b,
-        residual=residual,
-        # T_B T_A reaches (n, +) from (n+1, +) only through b[0,1] a[0,1] and
-        # has no term the other way, so this is that entry of T - T^dag
-        achieved_zeta=float((gate_b.unitary[0][1] * gate_a.unitary[0][1]).real),
-        requested_residual=requested,
-        restart_residuals=tuple(finals),
-    )
+    feasible = zeta <= zeta_max
+    x, y = (zeta_max, mu) if feasible else _projection(zeta, mu)
+    gate_a, gate_b = canonical_gates(x, y)
+    a, b = gate_a.matrix(), gate_b.matrix()
+    residual = _defect(a, b, x, y)
+    finals = [] if feasible else _restart_defects(zeta, mu, restarts, seed)
+    floor = math.nextafter(math.hypot(zeta, mu), 0.0) - 1.0  # one ulp low: hypot rounds
+    verdict = "feasible" if feasible else "infeasible"
+    status = verdict if residual <= _TOL and min(finals, default=math.inf) >= floor else "undetermined"
+    return GateSolution(status=status, gate_a=gate_a, gate_b=gate_b, residual=residual, achieved_zeta=x,
+                        requested_residual=_defect(a, b, zeta, mu), restart_residuals=tuple(finals))
 
 
 # ---------------------------------------------------------------------------
@@ -563,6 +546,6 @@ def fock_consistency(gates: Sequence[GateSpec], n_sites: int) -> FockCheck:
 
 
 def gates_to_json(gates: Sequence[GateSpec]) -> list[dict]:
-    """Serialize gates as {kind, site, unitary: [[re, im] x 4]} (row-major)."""
+    """Serialize gates as {kind, site, unitary: [[re, im] x 4]} (row-major, -0.0 written as 0.0)."""
     return [{"kind": g.kind, "site": g.site,
-             "unitary": [[float(z.real), float(z.imag)] for z in g.matrix().ravel()]} for g in gates]
+             "unitary": [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in g.matrix().ravel()]} for g in gates]

@@ -50,9 +50,9 @@ class WalkParams:
 
     def __post_init__(self):
         if self.n_sites <= 0 or self.n_sites % 2 != 0:
-            raise ValueError("n_sites must be a positive even integer")
+            raise ValueError(f"n_sites must be a positive even integer, got {self.n_sites}")
         if not 0.0 <= self.mu <= 1.0:
-            raise ValueError("mu must lie in [0, 1]")
+            raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
 
     @cached_property
     def zeta(self) -> float:
@@ -224,11 +224,12 @@ def front_speed(params: WalkParams, steps: int, eps: float) -> float:
     that the support cannot wrap (n_sites > 2 steps + 1).
     """
     if not 0.0 < eps < 1.0:
-        raise ValueError("eps must lie in (0, 1)")
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if steps < 1:
-        raise ValueError("steps must be positive")
+        raise ValueError(f"steps must be positive, got {steps}")
     if params.n_sites <= 2 * steps + 1:
-        raise ValueError("ring too small: need n_sites > 2*steps + 1 to avoid wrap-around")
+        raise ValueError(f"ring too small: need n_sites > 2*steps + 1 to avoid wrap-around, "
+                         f"got n_sites={params.n_sites} and steps={steps}")
     center = params.n_sites // 2
     psi = evolve_fourier(delta_state(params), params, steps)
     prob = np.sum(np.abs(psi) ** 2, axis=1)
@@ -348,7 +349,7 @@ def effective_hamiltonian_check(params: WalkParams, k: int) -> float:
     sin(kE)/(k sin E) * (zeta sin p sigma_z + mu sigma_x) at every momentum.
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ValueError(f"k must be at least 1, got {k}")
     p = params.momenta()
     generator = _stride_generator(momentum_blocks(params, 1), k)
     energy, sin_e = _band(params.zeta, p)

@@ -106,18 +106,18 @@ def test_numpy_only_modules_do_not_import_scipy(tmp_path):
 
 
 def test_gates_verify_loads_scipy_on_demand(tmp_path):
-    # a request at or below the bound is granted in closed form and the Fock oracle
-    # runs on numpy index maps, so no scipy module loads; a request past the
-    # bound runs the fits, and scipy.optimize with them
-    feasible = [f"causalqca.recipes.run_recipe('gates_verify', {overrides}, out_dir={str(tmp_path / name)!r})"
-                for name, overrides in (("default", {}), ("five", {"n_sites": "5"}))]
-    past = (f"causalqca.recipes.run_recipe('gates_verify', {{'zeta': '0.9', 'restarts': '0', 'n_sites': '2'}}, "
-            f"out_dir={str(tmp_path / 'past')!r})")
-    loaded = _scipy_after_each(["import causalqca.cli", *feasible, past])
+    # every answer is a closed form and the Fock oracle runs on numpy index maps, so
+    # no scipy module loads; only the floor-check fits past the bound load scipy.optimize
+    proved = [f"causalqca.recipes.run_recipe('gates_verify', {overrides}, out_dir={str(tmp_path / name)!r})"
+              for name, overrides in (("default", {}), ("five", {"n_sites": "5"}),
+                                      ("past", {"zeta": "0.9", "restarts": "0", "n_sites": "2"}))]
+    fitted = (f"causalqca.recipes.run_recipe('gates_verify', {{'zeta': '0.9', 'restarts': '1', 'n_sites': '2'}}, "
+              f"out_dir={str(tmp_path / 'fitted')!r})")
+    loaded = _scipy_after_each(["import causalqca.cli", *proved, fitted])
     assert loaded["import causalqca.cli"] == []
-    for step in feasible:
+    for step in proved:
         assert loaded[step] == []
-    assert "scipy.optimize" in loaded[past]
+    assert "scipy.optimize" in loaded[fitted]
 
 
 def test_every_golden_run_needs_no_scipy(tmp_path):
@@ -153,6 +153,12 @@ def test_a_solve_without_scipy_is_a_usage_error(tmp_path):
 
 @pytest.mark.parametrize("recipe, setting, message", [
     ("gates_verify", "restarts=-1", "restarts must be at least 0, got -1"),
+    ("gates_verify", "mu=1.5", "mu must lie in [0, 1], got 1.5"),
+    ("dispersion", "mu=nan", "mu must lie in [0, 1], got nan"),
+    ("dispersion", "n_sites=7", "n_sites must be a positive even integer, got 7"),
+    ("front_speed", "eps=2", "eps must lie in (0, 1), got 2.0"),
+    ("front_speed", "steps=0", "steps must be positive, got 0"),
+    ("front_speed", "steps=600", "need n_sites > 2*steps + 1 to avoid wrap-around, got n_sites=1024 and steps=600"),
     ("zitter", "steps=0", "steps must be at least 2, got 0"),
     ("zitter", "width=0", "width must be positive"),
     ("zitter", "width=nan", "width must be positive, got nan"),
@@ -349,15 +355,17 @@ def test_reruns_are_byte_identical(tmp_path):
         run_recipe("dispersion", {"n_sites": "16"}, tmp_path / sub)
         run_recipe("fig1", {}, tmp_path / sub)
         # separate processes: the solver once stopped at a different point of
-        # its flat gauge direction in each one
-        subprocess.run(
-            [sys.executable, "-m", "causalqca.cli", "run", "--recipe", "gates_verify",
-             "--set", "mu=0.6115", "--set", "zeta=0.791244", "--set", "restarts=3",
-             "--set", "n_sites=3", "--set", "seed=5", "--out", str(tmp_path / sub / "gates")],
-            check=True, capture_output=True, env=_child_env(),
-        )
-    for name in ("dispersion.json", "dispersion.csv", "fig1.json",
-                 "gates/gates.json", "gates/gates_verify.json"):
+        # its flat gauge direction in each one, and an infeasible run once
+        # returned its best random restart
+        for name, sets, code in (("gates", ["mu=0.6115", "zeta=0.791244", "seed=5", "n_sites=3"], 0),
+                                 ("past", ["zeta=0.9", "n_sites=2"], 1)):
+            args = [arg for item in [*sets, "restarts=3"] for arg in ("--set", item)]
+            proc = subprocess.run([sys.executable, "-m", "causalqca.cli", "run", "--recipe", "gates_verify", *args,
+                                   "--out", str(tmp_path / sub / name)], capture_output=True, env=_child_env())
+            assert proc.returncode == code, proc.stderr
+    assert json.loads((tmp_path / "a" / "past" / "gates_verify.json").read_text())["summary"]["status"] == "infeasible"
+    for name in ("dispersion.json", "dispersion.csv", "fig1.json", "gates/gates.json", "gates/gates_verify.json",
+                 "past/gates.json", "past/gates_verify.json"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 

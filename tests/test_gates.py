@@ -179,7 +179,7 @@ def test_fock_rep_is_shared_by_the_oracle():
 
 
 def test_scipy_calls_go_through_module_attributes(monkeypatch):
-    # the fits past the bound call scipy through the module attribute gates.leastsq
+    # the floor-check fits past the bound call scipy through the module attribute gates.leastsq
     calls = []
     real = gates.leastsq
 
@@ -188,8 +188,8 @@ def test_scipy_calls_go_through_module_attributes(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(gates, "leastsq", counting)
-    assert solve_gates(0.9, 0.6, restarts=0).status == "infeasible"
-    assert len(calls) == 2  # one per analytic warm start: zeta = 0.9 <= 1 adds the second
+    assert solve_gates(0.9, 0.6, restarts=3).status == "infeasible"
+    assert len(calls) == 3  # one per random restart
 
 
 def test_expm_and_logm_resolve_without_importing_scipy():
@@ -274,7 +274,8 @@ def _tiled(a, b, n_sites, periodic=True):
 @given(u2_pair, st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi), ring_sizes)
 def test_gauge_rephasing_leaves_the_step_unchanged(x, alpha, beta, n_sites):
     # B -> B diag(e^{i alpha}, e^{i beta}), A -> diag(e^{-i beta}, e^{-i alpha}) A: the
-    # freedom _fix_gauge removes; it holds to rounding, not bit for bit
+    # step's gauge freedom, which solve_gates needs no fixing for since every pair it
+    # returns is canonical; it holds to rounding, not bit for bit
     a, b = _u2(np.array(x[:4])), _u2(np.array(x[4:]))
     d = np.exp(1j * np.array([alpha, beta]))
     a2, b2 = np.conj(d[::-1])[:, None] * a, b * d[None, :]
@@ -468,10 +469,10 @@ def test_fourier_residual_gives_the_lattice_normal_equations(x, target):
     assert np.max(np.abs(jac.T @ r - lattice_jac.T @ lattice)) <= 1e-6
 
 
-@pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 0), (1.001, "infeasible", 22)])
+@pytest.mark.parametrize("factor, status, calls", [(1 - 1e-6, "feasible", 0), (1.001, "infeasible", 20)])
 def test_solve_gates_fits_each_start_once(monkeypatch, factor, status, calls):
-    # a request past the bound fits its 22 starts against its literal target once
-    # each; a below-bound one is granted by the canonical pair with no fit at all
+    # a request past the bound fits its 20 random starts against its literal target
+    # once each; a below-bound one is granted by the canonical pair with no fit at all
     fits = []
     real = gates.leastsq
 
@@ -509,6 +510,53 @@ def test_a_request_at_or_below_the_bound_is_granted_in_closed_form(mu, factor):
     # form, so against the literal target it is off by 2 (zeta_max - zeta) sin p,
     # largest at the grid momentum p = pi/2
     assert abs(sol.requested_residual - 2 * (zeta_max - zeta)) <= 1e-15
+
+
+def _lattice_sum(a, b, zeta, mu):
+    """The sum of squares of C(p) - target(p) over the 16 lattice momenta for the blocks a and b."""
+    diff = _momentum_combination(a, b, _MOMENTA) + 2j * dirac_form(zeta, mu, _MOMENTA)
+    return float(np.sum(np.abs(diff) ** 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0, 1), st.floats(1, 2, exclude_min=True))
+@example(0.6, 1.001).via("the benchmark's request")
+@example(0.0, 2.0).via("massless")
+def test_past_the_bound_the_closed_form_is_the_least_squares_optimum(mu, factor):
+    zeta = factor * refraction_bound(mu).zeta_max
+    assume(zeta > 0.0)  # mu = 1 admits no positive speed to scale
+    fitted = []
+    real = gates.leastsq
+
+    def capture(*args, **kwargs):
+        out = real(*args, **kwargs)
+        fitted.append(out[0])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gates, "leastsq", capture)
+        sol = solve_gates(zeta, mu, restarts=3, seed=4)
+    assert sol.status == "infeasible" and len(fitted) == 3
+    x, y = sol.achieved_zeta, -sol.gate_a.matrix()[0, 0].imag
+    assert (sol.gate_a, sol.gate_b) == canonical_gates(x, y)
+    assert abs(math.hypot(x, y) - 1.0) <= 4 * np.finfo(float).eps
+    # S = 64 (zeta - x)**2 + 128 (mu - y)**2; the grid's entries round at ~1e-16 each,
+    # so the norms agree to ~1e-15 absolute
+    norm = math.sqrt(_lattice_sum(sol.gate_a.matrix(), sol.gate_b.matrix(), zeta, mu))
+    assert abs(norm - math.sqrt(64 * (zeta - x) ** 2 + 128 * (mu - y) ** 2)) <= 1e-14 + 1e-12 * norm
+    # Levenberg-Marquardt from random starts, the oracle, finds no pair with a smaller sum
+    for params in fitted:
+        assert math.sqrt(_lattice_sum(_u2(params[:4]), _u2(params[4:]), zeta, mu)) >= norm * (1 - 1e-12) - 1e-14
+
+
+@pytest.mark.parametrize("zeta, mu", [(0.9, 0.6), (0.8 * 1.001, 0.6), (2.0, 0.3), (0.5, 0.95), (1.5, 0.0),
+                                      (0.5, 1.0)])
+def test_the_answer_past_the_bound_does_not_depend_on_the_fits(zeta, mu):
+    alone, checked = solve_gates(zeta, mu, restarts=0), solve_gates(zeta, mu, restarts=5, seed=9)
+    assert alone.status == checked.status == "infeasible"
+    assert alone.restart_residuals == () and len(checked.restart_residuals) == 5
+    # repr tells every float bit for bit, signed zeros included: all but the fits' defects agree
+    assert repr(alone._replace(restart_residuals=None)) == repr(checked._replace(restart_residuals=None))
 
 
 @pytest.mark.parametrize("mu", [0.3, 0.5, 0.7])
