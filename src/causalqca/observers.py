@@ -207,10 +207,18 @@ def boost_map(
 
     Returns an (N, 4) array of rows (tA, xA, tB, xB): each observer's radar
     coordinates times its coarse-graining factor, usually a multiple of
-    :func:`default_scale`.
+    :func:`default_scale`.  A window of more than 2**20 events, such as a
+    centered square one of radius 724 or more, raises ValueError before any
+    event is built: the count comes from its bounds.
     """
     if not (0 < scale_a < math.inf and 0 < scale_b < math.inf):
         raise ValueError(f"scales must be finite and positive, got {scale_a} and {scale_b}")
+    (t_lo, t_hi), (x_lo, x_hi) = window
+    n_t, n_x = max(0, t_hi - t_lo + 1), max(0, x_hi - x_lo + 1)
+    # events have t + x even; an odd-length range holds one more value of its first bound's parity
+    surplus = (n_t % 2) * (1 - 2 * (t_lo % 2)) * (n_x % 2) * (1 - 2 * (x_lo % 2))
+    if (count := (n_t * n_x + surplus) // 2) > 2**20:
+        raise ValueError(f"the window holds {count} events; boost_map takes at most 2**20 = {2**20}")
     rows = []
     for e in window.events():
         ra, rb = radar_coordinates(spec_a, e), radar_coordinates(spec_b, e)

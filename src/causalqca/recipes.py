@@ -313,8 +313,6 @@ def _gates_verify(svg: bool, *, zeta: float = 0.8, mu: float = 0.6, n_sites: int
         "restarts": len(solution.restart_residuals),
         "seed": seed,
         "fock_max_deviation": _decade_bound(fock.max_deviation),
-        "vacuum_phase_re": round(fock.vacuum_phase.real, 9),
-        "vacuum_phase_im": round(fock.vacuum_phase.imag, 9),
         "anticommutation_defect": _decade_bound(rep.anticommutation_defect()),
     }
     ok = solution.status == "feasible" and fock.max_deviation <= 1e-10

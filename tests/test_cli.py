@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from causalqca import recipes
 from causalqca.cli import main
@@ -72,9 +75,9 @@ def test_empty_bound_scan_is_usage_error(tmp_path, capsys):
     assert not (tmp_path / "bound_scan.csv").exists()
 
 
-# cases that once hung run in a child process, so a regression fails on the
-# timeout instead of stalling the suite
-_ONCE_HUNG = {("lorentz_fit", "coarse=1e308")}
+# cases that once hung, or grew until the machine ran out of memory, run in a
+# child process, so a regression fails on the timeout instead of stalling the suite
+_ONCE_HUNG = {("lorentz_fit", "coarse=1e308"), ("lorentz_fit", "t_radius=100000")}
 
 
 def _child_env() -> dict:
@@ -188,6 +191,8 @@ def test_a_solve_without_scipy_is_a_usage_error(tmp_path):
     ("gates_verify", "n_sites=6", "n_sites must lie in [1, 5], got 6"),
     ("lorentz_fit", "coarse=inf", "scales must be finite and positive, got inf and inf"),
     ("lorentz_fit", "coarse=1e308", "mapping must be finite"),
+    # 200001 x 45 lattice points, half of them events, counted from the bounds before any is built
+    ("lorentz_fit", "t_radius=100000", "the window holds 4500023 events; boost_map takes at most 2**20 = 1048576"),
     # a massless packet's reach does not divide by the width, so the packet itself rejects it
     ("zitter", "mu=0 width=1e-200 steps=64 n_sites=256",
      "width must be positive with a finite envelope exponent, got 1e-200"),
@@ -209,6 +214,43 @@ def test_rejected_value_is_usage_error(recipe, setting, message, tmp_path, capsy
     assert message in err
     assert "Warning" not in err
     assert not out.exists()
+
+
+# values a --set may carry that no recipe expects: nan, infinities, signed zeros,
+# subnormals, the empty string, hex, an integer floats cannot hold, and malformed text
+ADVERSARIAL = ["nan", "-nan", "NaN", "inf", "-inf", "1e309", "-0", "-0.0", "5e-324", "-5e-324",
+               "2.2250738585e-313", "", "0x10", "0x1p-2", str(2**53 + 1), "1e", "1.2.3", "--1", "=1",
+               "R L", "1_0", "\u0661", "\u221e"]
+# size-like settings, capped so that each example stays fast; the huge sizes have their own cases
+SIZE_CAPS = {"n_sites": 1024, "steps": 1024, "count": 1024, "restarts": 20, "t_radius": 64, "x_radius": 64}
+
+
+def _within_cap(case) -> bool:
+    _, key, raw = case
+    try:
+        return abs(int(raw)) <= SIZE_CAPS.get(key, math.inf)
+    except ValueError:
+        return True  # not an int, so a size-like key rejects it before anything is sized
+
+
+settings_cases = st.sampled_from(sorted(name for name in RECIPES if RECIPES[name].__kwdefaults__)).flatmap(
+    lambda name: st.tuples(st.just(name), st.sampled_from(sorted(RECIPES[name].__kwdefaults__)),
+                           st.sampled_from(ADVERSARIAL))).filter(_within_cap)
+
+
+@settings(max_examples=300, deadline=None)  # about 2 ms each; there are some 650 cases
+@given(settings_cases)
+def test_any_setting_ends_in_an_exit_code_with_a_message(case):
+    # the CLI contract: exit 0, 1 or 2, a message on 2, and no traceback or warning on any input
+    name, key, raw = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")  # a warning raises, and an exception fails the example
+        code = main(["run", "--recipe", name, "--set", f"{key}={raw}", "--out", out])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and len(err.getvalue()) > len("error: \n")
 
 
 def test_gates_verify_reaches_five_sites(tmp_path):

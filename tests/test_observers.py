@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -372,3 +373,33 @@ def test_fit_lorentz_rejects_non_finite_mappings():
     assert not np.isfinite(mapping).all()  # the chart overflowed
     with pytest.raises(ValueError, match="finite"):
         fit_lorentz(mapping)
+
+
+class _Built(Exception):
+    """Raised by a stand-in radar lookup: boost_map accepted its window."""
+
+
+def _event_count(window: Window) -> int:
+    """Events row by row: each t holds the x of its parity in the x range."""
+    (t_lo, t_hi), (x_lo, x_hi) = window
+    return sum(len(range(x_lo + (t + x_lo) % 2, x_hi + 1, 2)) for t in range(t_lo, t_hi + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2000, 2000), st.integers(-2000, 2000), st.integers(-1, 3000), st.integers(-1, 3000))
+@example(0, 0, 1023, 2047)  # 1024 x 2048 lattice points: exactly 2**20 events, the most boost_map takes
+@example(0, 0, 2, 699050)  # 3 x 699051 points: with both bounds even, 2**20 + 1 events, one too many,
+@example(0, 1, 2, 699050)  # and with an odd x bound, 2**20
+@example(-3, 1, 4, 5)  # odd bounds and odd lengths
+def test_boost_map_counts_the_window_from_its_bounds(t_lo, x_lo, t_span, x_span):
+    # a window of more than 2**20 events is rejected with its count before any event is built
+    window = Window((t_lo, t_lo + t_span), (x_lo, x_lo + x_span))
+    count = _event_count(window)
+    if count > 2**20:
+        with pytest.raises(ValueError, match=f"the window holds {count} events; boost_map takes at most 2"):
+            boost_map(REST, REST, window, 1.0, 1.0)
+    elif count <= 4096:
+        assert len(boost_map(REST, REST, window, 1.0, 1.0)) == count
+    else:  # building it would be slow: its first radar lookup shows that the window was accepted
+        with mock.patch("causalqca.observers.radar_coordinates", side_effect=_Built), pytest.raises(_Built):
+            boost_map(REST, REST, window, 1.0, 1.0)
